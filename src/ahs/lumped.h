@@ -25,6 +25,7 @@
 //     is healthy, rather than a healthy one specifically.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -65,43 +66,54 @@ struct LumpedState {
 };
 
 /// Parameter-independent skeleton of the lumped CTMC: the reachable states,
-/// the absorbing UNSAFE index, and every transition decomposed into
-/// (state-derived coefficient × rate-parameter factor) terms.  Rebuilding
-/// the numeric generator for another parameter set with the same
-/// Parameters::structural_fingerprint is one O(#terms) pass — no BFS
-/// re-exploration, no hashing.  Immutable once explored; safe to share
-/// across threads.
+/// the absorbing UNSAFE index, the generator's CSR pattern, and every
+/// transition rate decomposed into (state-derived coefficient × rate
+/// parameter) terms.  Rebuilding the generator for another parameter set
+/// with the same Parameters::structural_fingerprint is one O(#terms) pass
+/// that fills the values and exit rates — no BFS, no hashing, no sort.
+/// Immutable once explored; safe to share across threads.
 struct LumpedStructure {
-  /// Which rate parameter a term multiplies.
-  enum class Factor : std::uint8_t {
-    kFailureRate,    ///< params.failure_rate(FailureMode(index))
-    kManeuverRate,   ///< params.maneuver_rates[index]
-    kManeuverRateQ,  ///< params.maneuver_rates[index] · q_intrinsic
-    kLeaveRate,
+  /// Which rate parameter a term multiplies (the low 7 bits of its code).
+  enum Factor : std::uint8_t {
+    /// + failure mode: params.failure_rate(mode)
+    kFailureRate = 0,
+    /// + stage: params.maneuver_rates[stage]
+    kManeuverRate = kFailureRate + kNumFailureModes,
+    /// + stage: params.maneuver_rates[stage] · q_intrinsic
+    kManeuverRateQ = kManeuverRate + kNumManeuvers,
+    kLeaveRate = kManeuverRateQ + kNumManeuvers,
     kTransitRate,
     kChangeRate,
     kJoinRate,
+    kNumFactors,
   };
+  /// Set on the code of the last term of a generator entry.
+  static constexpr std::uint8_t kEndOfEntry = 0x80;
 
-  /// One additive term of a transition rate.  A maneuver-failure edge
-  /// carries two terms (count·μ − count·avail·μ·q); everything else one.
-  struct Term {
-    std::uint32_t from;
-    std::uint32_t to;
-    Factor factor;
-    std::uint8_t index;  ///< failure mode / maneuver stage; 0 otherwise
-    double coeff;        ///< state-derived multiplicity (counts, shares)
+  /// The rate terms, struct-of-arrays (9 bytes a term).  Grouped by
+  /// generator entry in CSR order; within an entry, in the order in which
+  /// the entry's value sums them.  A maneuver-failure edge contributes two
+  /// terms (count·μ − count·avail·μ·q); every other edge one.
+  struct Terms {
+    std::vector<double> coeff;       ///< state-derived multiplicity
+    std::vector<std::uint8_t> code;  ///< Factor | kEndOfEntry
+    std::size_t size() const { return coeff.size(); }
   };
 
   std::uint64_t fingerprint = 0;  ///< Parameters::structural_fingerprint()
   std::vector<LumpedState> states;
   std::uint32_t initial_state = 0;
   std::uint32_t unsafe = 0;  ///< == states.size(); appended absorbing state
-  std::vector<Term> terms;
+  /// Generator pattern over states.size() + 1 rows (UNSAFE last, empty):
+  /// row r's entries are [row_ptr[r], row_ptr[r+1]) of cols, columns
+  /// strictly increasing.
+  std::vector<std::size_t> row_ptr;
+  std::vector<std::uint32_t> cols;
+  Terms terms;
 
-  /// Numeric value of a factor under `params`.
-  static double factor_value(Factor f, std::uint8_t index,
-                             const Parameters& params);
+  /// Every factor's value under `params`, indexed by Factor.
+  static std::array<double, kNumFactors> factor_values(
+      const Parameters& params);
 };
 
 /// Explores the reachable lumped graph for `params` once.  The result is

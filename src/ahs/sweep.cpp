@@ -139,6 +139,8 @@ UnsafetyCurve decode_curve(const std::string& payload) {
   util::TokenReader in(payload);
   UnsafetyCurve curve;
   const std::uint64_t k = in.next_u64();
+  if (k > in.remaining() / 3)  // k times, k values, k half-widths
+    throw util::SnapshotError("curve payload shorter than its point count");
   curve.times.reserve(k);
   curve.unsafety.reserve(k);
   curve.half_width.reserve(k);
@@ -180,6 +182,8 @@ std::size_t decode_warm_entries(const std::string& payload,
     auto entry = std::make_shared<ctmc::WarmStart>();
     entry->fired_at = in.next_u64();
     const std::uint64_t n = in.next_u64();
+    if (n > in.remaining())
+      throw util::SnapshotError("warm-start payload shorter than its shape");
     entry->shape.reserve(n);
     for (std::uint64_t s = 0; s < n; ++s)
       entry->shape.push_back(in.next_f64());

@@ -44,6 +44,29 @@ CsrMatrix CsrMatrix::from_triplets(std::uint32_t rows, std::uint32_t cols,
   return m;
 }
 
+CsrMatrix CsrMatrix::from_csr(std::uint32_t rows, std::uint32_t cols,
+                              std::vector<std::size_t> row_ptr,
+                              std::vector<std::uint32_t> col,
+                              std::vector<double> val) {
+  AHS_REQUIRE(row_ptr.size() == std::size_t{rows} + 1 && row_ptr[0] == 0 &&
+                  row_ptr[rows] == col.size() && val.size() == col.size(),
+              "CSR row pointers disagree with the entry count");
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    AHS_REQUIRE(row_ptr[r] <= row_ptr[r + 1] && row_ptr[r + 1] <= col.size(),
+                "CSR row pointers not monotone");
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
+      AHS_REQUIRE(col[k] < cols && (k == row_ptr[r] || col[k - 1] < col[k]),
+                  "CSR columns out of range or out of order");
+  }
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_ = std::move(col);
+  m.val_ = std::move(val);
+  return m;
+}
+
 std::span<const std::uint32_t> CsrMatrix::row_cols(std::uint32_t r) const {
   AHS_REQUIRE(r < rows_, "row out of range");
   return {col_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};

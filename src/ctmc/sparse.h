@@ -35,6 +35,15 @@ class CsrMatrix {
   static CsrMatrix from_triplets(std::uint32_t rows, std::uint32_t cols,
                                  std::vector<Triplet> triplets);
 
+  /// Adopts a CSR layout as is: row_ptr has rows + 1 monotone entries from
+  /// 0 to col.size() == val.size(), and each row's columns are strictly
+  /// increasing and below `cols`.  Throws util::PreconditionError
+  /// otherwise.
+  static CsrMatrix from_csr(std::uint32_t rows, std::uint32_t cols,
+                            std::vector<std::size_t> row_ptr,
+                            std::vector<std::uint32_t> col,
+                            std::vector<double> val);
+
   std::uint32_t rows() const { return rows_; }
   std::uint32_t cols() const { return cols_; }
   std::size_t nonzeros() const { return col_.size(); }

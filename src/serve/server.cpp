@@ -148,14 +148,30 @@ void Server::shutdown() {
 }
 
 void Server::handle_connection(util::Socket socket) {
+  const auto error_reply = [](const std::exception& e) {
+    return std::string("{\"ok\":false,\"error\":\"") +
+           util::json_escape(e.what()) + "\"}";
+  };
   std::string line;
-  while (socket.recv_line(&line)) {
+  for (;;) {
+    try {
+      if (!socket.recv_line(&line)) break;
+    } catch (const util::IoError& e) {
+      // An overlong line or a failed read loses the stream's framing:
+      // answer if the peer still listens, then close this connection only.
+      AHS_LOGM_WARN("serve") << "closing a connection: " << e.what();
+      try {
+        socket.send_line(error_reply(e));
+      } catch (const util::IoError& send_error) {
+        AHS_LOGM_WARN("serve") << "error reply not sent: " << send_error.what();
+      }
+      break;
+    }
     std::string reply;
     try {
       reply = handle_request(line);
     } catch (const std::exception& e) {
-      reply = std::string("{\"ok\":false,\"error\":\"") +
-              util::json_escape(e.what()) + "\"}";
+      reply = error_reply(e);
     }
     if (!socket.send_line(reply)) break;
     // handle_request flags shutdown by throwing nothing: check afterwards

@@ -77,9 +77,13 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // A throw abandons the parser, so only a return unwinds the count.
+        require(++depth_ <= kMaxJsonDepth, "JSON nested too deeply");
+        JsonValue v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -233,6 +237,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -51,8 +51,14 @@ struct JsonValue {
                         const std::string& fallback = "") const;
 };
 
+/// Deepest nesting of arrays and objects parse_json accepts.  Parsing
+/// recurses once per level, so the cap keeps a hostile line from
+/// exhausting the stack; every document the system emits stays far below.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses one complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).  Throws util::PreconditionError on malformed input.
+/// garbage rejected).  Throws util::PreconditionError on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace util

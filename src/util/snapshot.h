@@ -101,6 +101,9 @@ class TokenReader {
   std::uint64_t next_u64();
   double next_f64();
   bool done() const { return pos_ >= tokens_.size(); }
+  /// Tokens not yet read: the bound for a decoded count, checked before
+  /// anything is sized by it.
+  std::size_t remaining() const { return tokens_.size() - pos_; }
 
  private:
   const std::string& next_token();

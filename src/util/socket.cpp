@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "util/error.h"
@@ -85,8 +86,13 @@ bool Socket::send_line(const std::string& line) {
 }
 
 bool Socket::recv_line(std::string* line) {
+  std::size_t scanned = 0;  // prefix of buffer_ known to hold no '\n'
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', scanned);
+    scanned = std::min(nl, buffer_.size());
+    if (scanned > kMaxLineBytes)
+      throw IoError("received line longer than " +
+                    std::to_string(kMaxLineBytes) + " bytes");
     if (nl != std::string::npos) {
       line->assign(buffer_, 0, nl);
       buffer_.erase(0, nl + 1);

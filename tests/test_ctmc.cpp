@@ -2,7 +2,10 @@
 // closed-form transient solutions, stationary distributions, absorption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "ctmc/chain.h"
 #include "ctmc/sparse.h"
@@ -44,6 +47,39 @@ TEST(CsrMatrix, LeftAndRightMultiply) {
 
 TEST(CsrMatrix, RejectsOutOfRangeTriplets) {
   EXPECT_THROW(CsrMatrix::from_triplets(1, 1, {{1, 0, 1.0}}),
+               util::PreconditionError);
+}
+
+TEST(CsrMatrix, FromCsrAdoptsTheLayout) {
+  const auto m = CsrMatrix::from_csr(2, 3, {0, 2, 3}, {0, 2, 1},
+                                     {1.0, 2.0, 4.0});
+  const auto ref = CsrMatrix::from_triplets(
+      2, 3, {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, 4.0}});
+  EXPECT_TRUE(std::ranges::equal(m.row_ptr(), ref.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(m.col_index(), ref.col_index()));
+  EXPECT_TRUE(std::ranges::equal(m.values(), ref.values()));
+}
+
+TEST(CsrMatrix, FromCsrRejectsAnInconsistentLayout) {
+  const auto build = [](std::vector<std::size_t> row_ptr,
+                        std::vector<std::uint32_t> col) {
+    std::vector<double> val(col.size(), 1.0);
+    return CsrMatrix::from_csr(2, 3, std::move(row_ptr), std::move(col),
+                               std::move(val));
+  };
+  EXPECT_NO_THROW(build({0, 2, 3}, {0, 2, 1}));
+  // Row pointers: wrong count, not starting at 0, not monotone, not
+  // ending at the entry count.
+  EXPECT_THROW(build({0, 3}, {0, 2, 1}), util::PreconditionError);
+  EXPECT_THROW(build({1, 2, 3}, {0, 2, 1}), util::PreconditionError);
+  EXPECT_THROW(build({0, 3, 2}, {0, 2, 1}), util::PreconditionError);
+  EXPECT_THROW(build({0, 2, 2}, {0, 2, 1}), util::PreconditionError);
+  // Columns: out of range, repeated, out of order.
+  EXPECT_THROW(build({0, 2, 3}, {0, 3, 1}), util::PreconditionError);
+  EXPECT_THROW(build({0, 2, 3}, {2, 2, 1}), util::PreconditionError);
+  EXPECT_THROW(build({0, 2, 3}, {2, 0, 1}), util::PreconditionError);
+  // Values must match the columns.
+  EXPECT_THROW(CsrMatrix::from_csr(1, 1, {0, 1}, {0}, {}),
                util::PreconditionError);
 }
 

@@ -59,4 +59,24 @@ TEST(Json, RejectsTornAndMalformedDocuments) {
   EXPECT_THROW(parse_json("nul"), util::PreconditionError);
 }
 
+TEST(Json, CapsNestingDepth) {
+  const auto arrays = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(parse_json(arrays(util::kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(arrays(util::kMaxJsonDepth + 1)),
+               util::PreconditionError);
+  // Deep enough to overflow the stack of an uncapped recursive parser.
+  EXPECT_THROW(parse_json(arrays(200000)), util::PreconditionError);
+
+  std::string objects;
+  for (int i = 0; i <= util::kMaxJsonDepth; ++i) objects += "{\"a\": ";
+  objects += "1" + std::string(util::kMaxJsonDepth + 1, '}');
+  EXPECT_THROW(parse_json(objects), util::PreconditionError);
+  // Depth is nesting, not the number of containers.
+  EXPECT_NO_THROW(parse_json("[" + std::string(10 * util::kMaxJsonDepth, ' ') +
+                             arrays(util::kMaxJsonDepth - 1) + "," +
+                             arrays(util::kMaxJsonDepth - 1) + "]"));
+}
+
 }  // namespace

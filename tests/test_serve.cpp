@@ -11,6 +11,7 @@
 // so WorkerSupervisor can re-exec the test binary just as ahs_server
 // re-execs itself.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <csignal>
 #include <bit>
@@ -553,6 +554,57 @@ TEST_F(ServeTest, ShutdownReturnsWithAnIdleConnectionOpen) {
   idle.close();  // lets a blocked run() return, so the test fails, not hangs
   served.get();
   EXPECT_TRUE(returned) << "run() stayed blocked on an idle connection";
+}
+
+TEST_F(ServeTest, MalformedLinesDoNotKillTheServer) {
+  serve::ServerOptions opt;
+  opt.socket_path = path("sock");
+  opt.work_dir = path("work");
+  serve::Server server(opt);
+  std::thread serving([&] { server.run(); });
+
+  // Each hostile client gets an error reply or a closed connection.
+  const auto expect_error_or_close = [](util::Socket& s) {
+    std::string reply;
+    if (s.recv_line(&reply))
+      EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+  };
+
+  // Nesting deep enough to overflow an uncapped recursive parser.
+  {
+    util::Socket s = util::Socket::connect_unix(opt.socket_path);
+    ASSERT_TRUE(
+        s.send_line(std::string(200000, '[') + std::string(200000, ']')));
+    expect_error_or_close(s);
+  }
+  // 17 MiB without a newline: past the line cap, so the server stops
+  // reading instead of buffering without bound.
+  {
+    util::Socket s = util::Socket::connect_unix(opt.socket_path);
+    const std::string chunk(1 << 20, 'x');
+    for (int i = 0; i < 17; ++i) {
+      std::size_t off = 0;
+      while (off < chunk.size()) {
+        const ssize_t n = ::send(s.fd(), chunk.data() + off,
+                                 chunk.size() - off, MSG_NOSIGNAL);
+        if (n <= 0) break;  // the server closed the connection
+        off += static_cast<std::size_t>(n);
+      }
+      if (off < chunk.size()) break;
+    }
+    ::shutdown(s.fd(), SHUT_WR);
+    expect_error_or_close(s);
+  }
+
+  // A fresh client is still answered.
+  util::Socket s = util::Socket::connect_unix(opt.socket_path);
+  ASSERT_TRUE(s.send_line("{\"op\":\"ping\"}"));
+  std::string line;
+  ASSERT_TRUE(s.recv_line(&line));
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+
+  server.shutdown();
+  serving.join();
 }
 
 TEST_F(ServeTest, ServerSurvivesWorkerSigkillMidSubmit) {

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "ahs/sweep.h"
 #include "bench/bench_common.h"
 #include "util/snapshot.h"
 #include "util/stats.h"
@@ -201,6 +202,27 @@ TEST(SnapshotTokens, TokenReaderThrowsOnTruncation) {
   EXPECT_THROW(reader.next_u64(), util::SnapshotError);
   util::TokenReader bad("zzz");
   EXPECT_THROW(bad.next_u64(), util::SnapshotError);
+}
+
+TEST(SnapshotTokens, DecodedCountsAreBoundedByTheTokensLeft) {
+  util::TokenReader reader("3 1 2 3");
+  EXPECT_EQ(reader.remaining(), 4u);
+  EXPECT_EQ(reader.next_u64(), 3u);
+  EXPECT_EQ(reader.remaining(), 3u);
+
+  ahs::UnsafetyCurve c;
+  c.times = {2.0, 6.0};
+  c.unsafety = {1e-9, 3e-9};
+  c.half_width = {0.0, 0.0};
+  c.solver_iterations = 42;
+  const std::string payload = ahs::encode_curve(c);
+  EXPECT_EQ(ahs::decode_curve(payload).unsafety, c.unsafety);
+  // A count the payload cannot hold is a snapshot error, raised before
+  // anything is sized by it.
+  EXPECT_THROW(ahs::decode_curve("18446744073709551615\n"),
+               util::SnapshotError);
+  EXPECT_THROW(ahs::decode_curve("4" + payload.substr(1)),
+               util::SnapshotError);
 }
 
 TEST(SnapshotTokens, HashMixIsOrderAndValueSensitive) {

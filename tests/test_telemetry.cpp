@@ -177,6 +177,24 @@ TEST(Telemetry, SweepTelemetryKeysAreThreadCountIndependent) {
   EXPECT_TRUE(has("span/run/sweep.run/sweep.point/study.lumped_ctmc"));
 }
 
+/// A cold lumped point splits its time into exploration, the generator
+/// refill and the solve: three sibling spans under study.lumped_ctmc.
+TEST(Telemetry, LumpedPointSpansExploreRebuildAndSolve) {
+  util::TelemetrySession session;
+  ahs::Parameters p;
+  p.max_per_platoon = 2;
+  ahs::StudyOptions opts;
+  opts.engine = ahs::Engine::kLumpedCtmc;
+  (void)ahs::unsafety_curve(p, {2.0, 4.0}, opts);
+  const auto s = structure_of(session.report());
+  for (const char* leaf :
+       {"lumped.explore", "lumped.rebuild", "uniformization.transient"})
+    EXPECT_NE(std::find(s.begin(), s.end(),
+                        std::string("span/run/study.lumped_ctmc/") + leaf),
+              s.end())
+        << leaf;
+}
+
 TEST(TapStaleness, TripsOnlyWhenTheSequenceStopsAdvancing) {
   util::TapStaleness gate(5.0);
   // Advancing sequence: never stale, never expired.
