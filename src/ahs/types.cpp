@@ -28,21 +28,6 @@ const FailureModeInfo& info(FailureMode fm) {
   return failure_mode_table()[static_cast<std::size_t>(fm)];
 }
 
-SeverityClass maneuver_class(Maneuver m) {
-  switch (m) {
-    case Maneuver::kTakeImmediateExitNormal:
-      return SeverityClass::kC;
-    case Maneuver::kTakeImmediateExit:
-    case Maneuver::kTakeImmediateExitEscorted:
-      return SeverityClass::kB;
-    case Maneuver::kGentleStop:
-    case Maneuver::kCrashStop:
-    case Maneuver::kAidedStop:
-      return SeverityClass::kA;
-  }
-  throw util::InvariantError("unknown maneuver");
-}
-
 Maneuver maneuver_for(FailureMode fm) { return info(fm).maneuver; }
 
 bool next_maneuver(Maneuver m, Maneuver& out) {

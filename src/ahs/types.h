@@ -10,6 +10,8 @@
 #include <array>
 #include <string>
 
+#include "util/error.h"
+
 namespace ahs {
 
 /// The six failure modes of Table 1.
@@ -62,7 +64,20 @@ const FailureModeInfo& info(FailureMode fm);
 /// Severity class of the failure mode a maneuver stage recovers — used for
 /// the Table 2 accounting of ongoing maneuvers (escalation re-classes a
 /// vehicle's contribution: a failed TIE-E escalates to GS, class B → A).
-SeverityClass maneuver_class(Maneuver m);
+constexpr SeverityClass maneuver_class(Maneuver m) {
+  switch (m) {
+    case Maneuver::kTakeImmediateExitNormal:
+      return SeverityClass::kC;
+    case Maneuver::kTakeImmediateExit:
+    case Maneuver::kTakeImmediateExitEscorted:
+      return SeverityClass::kB;
+    case Maneuver::kGentleStop:
+    case Maneuver::kCrashStop:
+    case Maneuver::kAidedStop:
+      return SeverityClass::kA;
+  }
+  throw util::InvariantError("unknown maneuver");
+}
 
 /// Maneuver the given failure mode triggers (Table 1).
 Maneuver maneuver_for(FailureMode fm);
