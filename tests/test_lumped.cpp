@@ -7,8 +7,10 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <vector>
 
 #include "ahs/lumped.h"
+#include "ahs/study.h"
 
 namespace {
 
@@ -400,6 +402,43 @@ TEST(LumpedModel, GeneratorBitsArePinned) {
         << "config " << i << std::hex << " got 0x" << generator_hash(explored);
     EXPECT_EQ(generator_hash(refilled), g.refilled)
         << "config " << i << std::hex << " got 0x" << generator_hash(refilled);
+  }
+}
+
+// ---- measured bias against the full SAN -----------------------------------
+
+TEST(LumpedModel, BiasAgainstTheFullSanIsPinnedAtN1) {
+  // Lumped S(t) over the exact full-SAN CTMC's S(t) at n = 1, both solved by
+  // kStandard uniformization.  The ratio is the same at λ = 1e-3 and 1e-4
+  // to three digits: the lumping bias is a fixed factor that does not vanish
+  // at the paper's rates (EXPERIMENTS.md, "Cross-validation").
+  struct PinnedRatio {
+    bool all_modes;  ///< all six failure modes, else FM3 + FM6 only
+    double lambda;
+    double at_2h;
+    double at_6h;
+  };
+  constexpr PinnedRatio kRatios[] = {
+      {false, 1e-3, 0.9184990016, 0.9175039100},
+      {false, 1e-4, 0.9187215805, 0.9177287912},
+      {true, 1e-3, 0.8801974179, 0.8783230767},
+      {true, 1e-4, 0.8806235458, 0.8787507286},
+  };
+  const std::vector<double> times = {2.0, 6.0};
+  StudyOptions full_san;
+  full_san.engine = Engine::kFullCtmc;
+  full_san.solver = ctmc::TransientSolver::kStandard;
+  for (const PinnedRatio& r : kRatios) {
+    Parameters p = base(r.lambda, 1);
+    if (!r.all_modes)
+      p.failure_mode_enabled = {false, false, true, false, false, true};
+    const UnsafetyCurve exact = unsafety_curve(p, times, full_san);
+    const std::vector<double> lumped = LumpedModel(p).unsafety(times);
+    const double pinned[] = {r.at_2h, r.at_6h};
+    for (std::size_t i = 0; i < times.size(); ++i)
+      EXPECT_NEAR(lumped[i] / exact.unsafety[i], pinned[i], 1e-6 * pinned[i])
+          << (r.all_modes ? "all modes" : "FM3+FM6") << " lambda "
+          << r.lambda << " t " << times[i];
   }
 }
 
