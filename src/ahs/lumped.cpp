@@ -482,11 +482,9 @@ const LumpedState& LumpedModel::state(std::uint32_t s) const {
   return structure_->states[s];
 }
 
-std::vector<double> LumpedModel::unsafety(std::span<const double> times,
-                                          util::ThreadPool* pool) const {
-  ctmc::UniformizationOptions opts;
-  opts.pool = pool;
-  return unsafety(times, opts, nullptr);
+std::vector<double> LumpedModel::unsafety(
+    std::span<const double> times) const {
+  return unsafety(times, ctmc::UniformizationOptions{}, nullptr);
 }
 
 std::vector<double> LumpedModel::unsafety(

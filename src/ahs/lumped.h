@@ -15,14 +15,19 @@
 // (#class-A, #class-B, #class-C of ongoing maneuvers) satisfies Table 2.
 // S(t) is the transient probability of UNSAFE, solved by uniformization.
 //
-// Approximations relative to the full SAN (all second-order; quantified by
-// the cross-validation bench):
+// Approximations relative to the full SAN:
 //   * a maneuvering vehicle's platoon is not tracked — departures and
 //     assistant availability use proportional/average occupancy;
-//   * simultaneous multiple failure modes in one vehicle are not merged
-//     (probability O(λ²) per vehicle);
+//   * simultaneous multiple failure modes in one vehicle are not merged;
 //   * voluntary leaves/changes pick any vehicle while some platoon vehicle
 //     is healthy, rather than a healthy one specifically.
+// Together they bias S(t) by a factor that does not shrink with λ.  Against
+// the exact full-SAN CTMC, lumped / full at S(2 h) and S(6 h) is
+// 0.9153–0.9187 at n = 1 with FM3 + FM6 (λ 1e-2 … 1e-5), 0.8783–0.8807 at
+// n = 1 with all six modes (λ 1e-3 … 1e-5) and 0.983–0.986 at n = 2 with
+// FM3 + FM6 (S(6 h), λ 1e-2 … 1e-6); plain Monte Carlo on the full SAN
+// puts it at 0.77–0.97 for n = 2 and 6.  Which approximation carries the
+// bias is open (EXPERIMENTS.md, "Lumping bias").
 #pragma once
 
 #include <array>
@@ -35,10 +40,6 @@
 #include "ahs/severity.h"
 #include "ctmc/chain.h"
 #include "ctmc/uniformization.h"
-
-namespace util {
-class ThreadPool;
-}
 
 namespace ahs {
 
@@ -153,11 +154,9 @@ class LumpedModel {
   const LumpedState& state(std::uint32_t s) const;
 
   /// S(t) — probability the AHS has reached a catastrophic situation by
-  /// each time point (hours, strictly increasing).  An optional pool
-  /// parallelizes the uniformization products of this one solve (bitwise
-  /// thread-count independent; see UniformizationOptions::pool).
-  std::vector<double> unsafety(std::span<const double> times,
-                               util::ThreadPool* pool = nullptr) const;
+  /// each time point (hours, strictly increasing), by the reference
+  /// kStandard solver.
+  std::vector<double> unsafety(std::span<const double> times) const;
   std::vector<double> unsafety(std::initializer_list<double> times) const {
     return unsafety(std::span<const double>(times.begin(), times.size()));
   }

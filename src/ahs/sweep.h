@@ -8,11 +8,10 @@
 // exploration is shared via StudyCache whenever the points' structural
 // fingerprints coincide.
 //
-// Determinism: each point is evaluated by thread-count-independent code
-// (the solver's optional internal parallelism is bitwise stable, and the
-// sweep never hands its own pool down into a point), and results land in
-// slots indexed by input order — so the output is point-for-point identical
-// to a sequential loop, for any thread count.
+// Determinism: each point is evaluated on one thread by code that does not
+// depend on the thread count, and results land in slots indexed by input
+// order — so the output is point-for-point identical to a sequential loop,
+// for any thread count.
 #pragma once
 
 #include <atomic>

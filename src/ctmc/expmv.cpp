@@ -11,68 +11,32 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/spans.h"
-#include "util/thread_pool.h"
 
 namespace ctmc {
 namespace {
 
-/// Same column-block width as the uniformization stepper (192 Ki columns =
-/// 1.5 MiB of gathered x per block).
-constexpr std::uint32_t kBlockCols = 192 * 1024;
+/// Arnoldi subspace dimension.
+constexpr int kKrylovDim = 30;
 
-/// y := Qᵀ x = Rᵀ x − exit ∘ x over the column-blocked transpose of the
-/// off-diagonal rate matrix.  Row-partitioned gather: every output entry is
-/// accumulated by exactly one thread in the sequential per-element order,
-/// so the product is bitwise independent of the pool size — the same
-/// guarantee the uniformization stepper gives.
+/// y := Qᵀ x = Rᵀ x − exit ∘ x, gathered over the transpose of the
+/// off-diagonal rate matrix R: every output entry accumulates in the
+/// uniformization stepper's order.
 class AdjointOp {
  public:
-  AdjointOp(const MarkovChain& chain, util::ThreadPool* pool)
-      : n_(chain.num_states), exit_(&chain.exit_rate), pool_(pool) {
-    blocked_ = make_blocked(chain.rates.transposed(), kBlockCols);
-  }
+  explicit AdjointOp(const MarkovChain& chain)
+      : exit_(&chain.exit_rate), transposed_(chain.rates.transposed()) {}
 
   void apply(const std::vector<double>& x, std::vector<double>& y) const {
-    const std::uint32_t n = n_;
-    const std::size_t blocks = blocked_.blocks();
-    const std::uint32_t stride = n + 1;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const bool first = blk == 0;
-      const bool last = blk + 1 == blocks;
-      const std::size_t* ptr = blocked_.row_ptr.data() + blk * stride;
-      const std::uint32_t* col = blocked_.col.data();
-      const double* val = blocked_.val.data();
-      const double* xs = x.data();
-      const double* ex = exit_->data();
-      double* ys = y.data();
-      const auto kernel = [&](std::uint32_t lo, std::uint32_t hi) {
-        for (std::uint32_t r = lo; r < hi; ++r) {
-          double g = first ? 0.0 : ys[r];
-          for (std::size_t k = ptr[r]; k < ptr[r + 1]; ++k)
-            g += val[k] * xs[col[k]];
-          if (last) g -= ex[r] * xs[r];
-          ys[r] = g;
-        }
-      };
-      if (pool_ == nullptr) {
-        kernel(0, n);
-      } else {
-        pool_->parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-          kernel(static_cast<std::uint32_t>(lo),
-                 static_cast<std::uint32_t>(hi));
-        });
-      }
-    }
+    transposed_.right_multiply(x, y);
+    for (std::size_t r = 0; r < y.size(); ++r) y[r] -= (*exit_)[r] * x[r];
   }
 
  private:
-  std::uint32_t n_;
   const std::vector<double>* exit_;
-  util::ThreadPool* pool_;
-  BlockedCsr blocked_;
+  CsrMatrix transposed_;
 };
 
-// ---- dense p×p helpers (p ≤ krylov_dim + 2, so cubic cost is noise) -----
+// ---- dense p×p helpers (p ≤ kKrylovDim + 2, so cubic cost is noise) -----
 
 std::vector<double> matmul(const std::vector<double>& a,
                            const std::vector<double>& b, int p) {
@@ -188,17 +152,24 @@ std::vector<double> dense_expm(const std::vector<double>& a_in, int p) {
 
 namespace {
 
-/// One full expmv drive over a prebuilt operator (so multi-interval solves
-/// build the blocked transpose once).
+struct ExpmvResult {
+  /// exp(Qᵀ t) · v.
+  std::vector<double> w;
+  /// Matrix-vector products performed (Arnoldi + error-estimate products).
+  std::uint64_t matvecs = 0;
+};
+
+/// w = exp(Qᵀ t) · v0 with local error ≲ `tol` (absolute, on the vector),
+/// over a prebuilt operator (so multi-interval solves build the transpose
+/// once).
 ExpmvResult run_expmv(const AdjointOp& op, std::uint32_t n, double anorm,
-                      std::span<const double> v0, double t, double tol,
-                      int krylov_dim) {
+                      std::span<const double> v0, double t, double tol) {
   ExpmvResult res;
   res.w.assign(v0.begin(), v0.end());
   if (t <= 0.0 || n == 0) return res;
   if (tol <= 0.0) tol = 1e-12;
   const int m = std::clamp(
-      krylov_dim, 1, static_cast<int>(std::min<std::uint32_t>(n, 60)));
+      kKrylovDim, 1, static_cast<int>(std::min<std::uint32_t>(n, 60)));
   const int pdim = m + 2;
   const double tol_rate = tol / t;  // local error budget per unit time
   std::vector<std::vector<double>> V(
@@ -303,15 +274,6 @@ ExpmvResult run_expmv(const AdjointOp& op, std::uint32_t n, double anorm,
 
 }  // namespace
 
-ExpmvResult expmv(const MarkovChain& chain, std::span<const double> v,
-                  double t, double tol, int krylov_dim,
-                  util::ThreadPool* pool) {
-  AHS_REQUIRE(v.size() == chain.num_states, "expmv: vector size mismatch");
-  const AdjointOp op(chain, pool);
-  const double anorm = 2.0 * chain.max_exit_rate();
-  return run_expmv(op, chain.num_states, anorm, v, t, tol, krylov_dim);
-}
-
 double expmv_tol_floor(double anorm, double t) {
   // One matvec loses ~ε_mach·‖A‖·‖x‖; over a horizon the losses compound
   // proportionally to anorm·t (the number of unit-norm sub-steps the
@@ -349,7 +311,7 @@ TransientSolution solve_transient_krylov(const MarkovChain& chain,
   const std::uint32_t n = chain.num_states;
   const double tol =
       options.krylov_tol > 0.0 ? options.krylov_tol : options.epsilon;
-  const AdjointOp op(chain, options.pool);
+  const AdjointOp op(chain);
   const double anorm = 2.0 * chain.max_exit_rate();
 
   TransientSolution sol;
@@ -369,8 +331,7 @@ TransientSolution solve_transient_krylov(const MarkovChain& chain,
         sol.tol_floor_hit = true;
         sol.achievable_tol = std::max(sol.achievable_tol, floor);
       }
-      ExpmvResult r = run_expmv(op, n, anorm, pi, dt, tol,
-                                options.krylov_dim);
+      ExpmvResult r = run_expmv(op, n, anorm, pi, dt, tol);
       pi = std::move(r.w);
       sol.total_iterations += r.matvecs;
       double total = 0.0;
@@ -382,12 +343,12 @@ TransientSolution solve_transient_krylov(const MarkovChain& chain,
     double expect = 0.0;
     for (std::uint32_t s = 0; s < n; ++s) expect += pi[s] * reward[s];
     sol.expected_reward.push_back(expect);
-    sol.distributions.push_back(pi);
   }
   if (on) iterations.add(sol.total_iterations);
   if (sol.tol_floor_hit) {
     // The explicit signal the 1e-12 tail certifications need: the
-    // estimator's "error ≤ tol" claim is only good to the round-off floor.
+    // estimator's "error ≤ tol" claim on the vector is only good to the
+    // round-off floor.
     if (util::MetricsRegistry* reg = util::MetricsRegistry::global()) {
       reg->counter("ctmc.expmv.tol_floor_hits").inc();
       reg->gauge("ctmc.expmv.tol_floor").set(sol.achievable_tol);
@@ -396,8 +357,9 @@ TransientSolution solve_transient_krylov(const MarkovChain& chain,
         << "krylov: requested tolerance " << tol
         << " is below the round-off floor " << sol.achievable_tol
         << " for this solve (‖Qᵀ‖·t ≈ " << anorm * time_points.back()
-        << "); the certification is degraded to the floor — use the "
-           "adaptive/standard engine for tails beyond it";
+        << "); the floor bounds round-off on each entry of the distribution "
+           "vector, not on the reward: a reward well above it keeps its "
+           "digits, one near or below it needs the adaptive/standard engine";
   }
   return sol;
 }

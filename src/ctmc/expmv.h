@@ -23,32 +23,11 @@
 #include "ctmc/chain.h"
 #include "ctmc/uniformization.h"
 
-namespace util {
-class ThreadPool;
-}
-
 namespace ctmc {
 
-struct ExpmvResult {
-  /// exp(Qᵀ t) · v.
-  std::vector<double> w;
-  /// Matrix-vector products performed (Arnoldi + error-estimate products).
-  std::uint64_t matvecs = 0;
-};
-
-/// w = exp(Qᵀ t) · v with local error ≲ `tol` (absolute, on the vector).
-/// A `tol` below expmv_tol_floor(anorm, t) cannot be honoured in double
-/// precision — callers certifying 1e-12 tails must check the floor (the
-/// Krylov transient solver does, and flags the solve; see
-/// docs/PERFORMANCE.md).  The product kernel runs gather-style over the
-/// column-blocked transpose, so results are bitwise independent of the
-/// pool size.
-ExpmvResult expmv(const MarkovChain& chain, std::span<const double> v,
-                  double t, double tol, int krylov_dim,
-                  util::ThreadPool* pool);
-
-/// The absolute-error round-off floor of a Krylov propagation over horizon
-/// `t` with operator norm bound `anorm` (‖Qᵀ‖ estimate): the local-error
+/// The absolute round-off floor on each entry of the vector a Krylov
+/// propagation over horizon `t` returns, for operator norm bound `anorm`
+/// (‖Qᵀ‖ estimate); it bounds no reward's relative error.  The local-error
 /// estimator measures Krylov *truncation* error only, so a requested
 /// tolerance below ε_mach·max(1, anorm·t) is noise — the solve silently
 /// carries O(floor) round-off no matter what the estimator claims.  The
@@ -59,7 +38,9 @@ double expmv_tol_floor(double anorm, double t);
 /// solve_transient with the Krylov engine; ctmc::solve_transient dispatches
 /// here for UniformizationOptions::solver == kKrylov.  Uses
 /// options.krylov_tol (or options.epsilon when 0) as the per-interval
-/// error budget and options.krylov_dim as the Arnoldi subspace size.
+/// error budget, with a 30-dimensional Arnoldi subspace.  The product
+/// gathers over the transposed rate matrix in the uniformization stepper's
+/// accumulation order.
 TransientSolution solve_transient_krylov(const MarkovChain& chain,
                                          std::span<const double> reward,
                                          std::span<const double> time_points,
@@ -67,7 +48,7 @@ TransientSolution solve_transient_krylov(const MarkovChain& chain,
 
 /// Dense exp(A) for a row-major m×m matrix by scaling-and-squaring
 /// Padé(13) (Higham 2005).  Exposed for testing; the solver only ever
-/// calls it with (krylov_dim + 2)-sized matrices.
+/// calls it with (Arnoldi dimension + 2)-sized matrices.
 std::vector<double> dense_expm(const std::vector<double>& a, int m);
 
 }  // namespace ctmc

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace ctmc {
 
@@ -99,22 +98,6 @@ CsrMatrix CsrMatrix::transposed() const {
   return t;
 }
 
-std::vector<std::uint32_t> CsrMatrix::row_blocks(std::size_t blocks) const {
-  std::vector<std::uint32_t> bounds;
-  bounds.reserve(blocks + 1);
-  bounds.push_back(0);
-  const std::size_t nnz = col_.size();
-  for (std::size_t b = 1; b < blocks; ++b) {
-    const std::size_t target = nnz * b / blocks;
-    const auto it = std::lower_bound(row_ptr_.begin(), row_ptr_.end(), target);
-    auto r = static_cast<std::uint32_t>(it - row_ptr_.begin());
-    r = std::max(r, bounds.back());  // keep boundaries monotone
-    bounds.push_back(std::min(r, rows_));
-  }
-  bounds.push_back(rows_);
-  return bounds;
-}
-
 void CsrMatrix::left_multiply(std::span<const double> x,
                               std::span<double> y) const {
   AHS_REQUIRE(x.size() == rows_ && y.size() == cols_,
@@ -138,95 +121,6 @@ void CsrMatrix::right_multiply(std::span<const double> x,
       acc += val_[k] * x[col_[k]];
     y[r] = acc;
   }
-}
-
-void CsrMatrix::left_multiply(std::span<const double> x, std::span<double> y,
-                              util::ThreadPool& pool) const {
-  AHS_REQUIRE(x.size() == rows_ && y.size() == cols_,
-              "left_multiply dimension mismatch");
-  const std::vector<std::uint32_t> bounds = row_blocks(pool.size() + 1);
-  const std::size_t blocks = bounds.size() - 1;
-  if (blocks <= 1) {
-    left_multiply(x, y);
-    return;
-  }
-  // Private scatter buffer per block, reduced in block order below.
-  std::vector<std::vector<double>> partial(blocks);
-  pool.parallel_for(0, blocks, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t b = lo; b < hi; ++b) {
-      partial[b].assign(cols_, 0.0);
-      double* out = partial[b].data();
-      for (std::uint32_t r = bounds[b]; r < bounds[b + 1]; ++r) {
-        const double xr = x[r];
-        if (xr == 0.0) continue;
-        for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-          out[col_[k]] += xr * val_[k];
-      }
-    }
-  });
-  std::fill(y.begin(), y.end(), 0.0);
-  for (std::size_t b = 0; b < blocks; ++b)
-    for (std::uint32_t c = 0; c < cols_; ++c) y[c] += partial[b][c];
-}
-
-void CsrMatrix::right_multiply(std::span<const double> x, std::span<double> y,
-                               util::ThreadPool& pool) const {
-  AHS_REQUIRE(x.size() == cols_ && y.size() == rows_,
-              "right_multiply dimension mismatch");
-  const std::vector<std::uint32_t> bounds = row_blocks(pool.size() + 1);
-  pool.parallel_for(0, bounds.size() - 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t b = lo; b < hi; ++b) {
-      for (std::uint32_t r = bounds[b]; r < bounds[b + 1]; ++r) {
-        double acc = 0.0;
-        for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-          acc += val_[k] * x[col_[k]];
-        y[r] = acc;
-      }
-    }
-  });
-}
-
-BlockedCsr make_blocked(const CsrMatrix& m, std::uint32_t block_cols) {
-  AHS_REQUIRE(block_cols >= 1, "block_cols must be >= 1");
-  BlockedCsr b;
-  b.rows = m.rows();
-  const std::uint32_t cols = std::max<std::uint32_t>(m.cols(), 1);
-  const std::size_t blocks = (cols + block_cols - 1) / block_cols;
-  b.bounds.reserve(blocks + 1);
-  for (std::size_t i = 0; i < blocks; ++i)
-    b.bounds.push_back(static_cast<std::uint32_t>(i * block_cols));
-  b.bounds.push_back(m.cols());
-
-  const std::span<const std::size_t> row_ptr = m.row_ptr();
-  const std::span<const std::uint32_t> col = m.col_index();
-  const std::span<const double> val = m.values();
-  b.row_ptr.assign(blocks * (b.rows + 1), 0);
-  b.col.resize(col.size());
-  b.val.resize(val.size());
-
-  // Entries of a CSR row are column-sorted, so each row splits into one
-  // contiguous segment per block; a single pass with a per-row cursor
-  // copies them out block-major.
-  std::size_t out = 0;
-  std::vector<std::size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::uint32_t hi = b.bounds[blk + 1];
-    std::size_t* ptr = b.row_ptr.data() + blk * (b.rows + 1);
-    for (std::uint32_t r = 0; r < b.rows; ++r) {
-      ptr[r] = out;
-      std::size_t k = cursor[r];
-      while (k < row_ptr[r + 1] && col[k] < hi) {
-        b.col[out] = col[k];
-        b.val[out] = val[k];
-        ++out;
-        ++k;
-      }
-      cursor[r] = k;
-    }
-    ptr[b.rows] = out;
-  }
-  AHS_ASSERT(out == col.size(), "blocked CSR lost entries");
-  return b;
 }
 
 double CsrMatrix::row_sum(std::uint32_t r) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -13,7 +12,6 @@
 #include "util/metrics.h"
 #include "util/snapshot.h"
 #include "util/spans.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace ctmc {
@@ -216,36 +214,25 @@ double uniformization_rate(const MarkovChain& chain,
 
 /// The uniformized DTMC step y := x P, P = I + Q/Λ, shared by all solvers,
 /// plus the steady-state detector both solve_transient and
-/// solve_accumulated consult (the detection used to live separately in each
-/// loop; the shared flag keeps the cutoff semantics identical).
+/// solve_accumulated consult (the shared flag keeps the cutoff semantics
+/// identical).
 ///
-/// The product runs gather-style over the column-blocked transpose of the
-/// rate matrix (see BlockedCsr): each output accumulates its contributions
-/// in the sequential scatter order, so the result is bitwise identical to
-/// the historical sequential left_multiply — for any block count and any
-/// pool size (a pool partitions each block's output rows; every output is
-/// still written by exactly one thread in the same per-element order).
-///
-/// The final block's pass is fused with the rest of the per-iteration
-/// element work: the /Λ scaling and I·self_prob term, the Poisson
-/// accumulation acc[s] += w·x[s], and the steady-state max-norm diff all
-/// happen while y[s] and x[s] are in registers, replacing what used to be
-/// four extra O(n) passes over the state vectors per iteration.
+/// The product gathers over the transpose of the rate matrix: each output
+/// accumulates its contributions in left_multiply's scatter order (see
+/// CsrMatrix::transposed), so the result has the scatter product's bits.
+/// The gather is fused with the rest of the per-iteration element work: the
+/// /Λ scaling and I·self_prob term, the Poisson accumulation
+/// acc[s] += w·x[s], and the steady-state max-norm diff all happen while
+/// y[s] and x[s] are in registers, in one pass over the state vectors.
 class DtmcStepper {
  public:
-  /// Column block width: 192 Ki columns = 1.5 MiB of gathered x per block,
-  /// sized to keep the block's x slice resident in a ≥ 2 MiB L2 alongside
-  /// the streamed CSR entries.  Chains up to ~196 K states get one block.
-  static constexpr std::uint32_t kBlockCols = 192 * 1024;
-
-  DtmcStepper(const MarkovChain& chain, double unif_rate,
-              util::ThreadPool* pool, double steady_tol)
-      : unif_rate_(unif_rate), steady_tol_(steady_tol), pool_(pool) {
+  DtmcStepper(const MarkovChain& chain, double unif_rate, double steady_tol)
+      : unif_rate_(unif_rate), steady_tol_(steady_tol) {
     const std::uint32_t n = chain.num_states;
     self_prob_.resize(n);
     for (std::uint32_t s = 0; s < n; ++s)
       self_prob_[s] = 1.0 - chain.exit_rate[s] / unif_rate;
-    blocked_ = make_blocked(chain.rates.transposed(), kBlockCols);
+    transposed_ = chain.rates.transposed();
   }
 
   /// Fused step: y := x P; when `acc` is non-null, acc[s] += w·x[s] rides
@@ -269,49 +256,22 @@ class DtmcStepper {
   double run(const std::vector<double>& x, std::vector<double>& y, double w,
              double* acc) const {
     const std::uint32_t n = static_cast<std::uint32_t>(self_prob_.size());
-    const std::size_t blocks = blocked_.blocks();
-    const std::uint32_t stride = n + 1;
+    const std::size_t* ptr = transposed_.row_ptr().data();
+    const std::uint32_t* col = transposed_.col_index().data();
+    const double* val = transposed_.values().data();
+    const double* xs = x.data();
+    const double* sp = self_prob_.data();
+    double* ys = y.data();
     double max_diff = 0.0;
-    for (std::size_t blk = 0; blk < blocks; ++blk) {
-      const bool first = blk == 0;
-      const bool last = blk + 1 == blocks;
-      const std::size_t* ptr = blocked_.row_ptr.data() + blk * stride;
-      const std::uint32_t* col = blocked_.col.data();
-      const double* val = blocked_.val.data();
-      const double* xs = x.data();
-      const double* sp = self_prob_.data();
-      double* ys = y.data();
-      const auto kernel = [&](std::uint32_t lo, std::uint32_t hi) {
-        double diff = 0.0;
-        for (std::uint32_t r = lo; r < hi; ++r) {
-          double g = first ? 0.0 : ys[r];
-          for (std::size_t k = ptr[r]; k < ptr[r + 1]; ++k)
-            g += val[k] * xs[col[k]];
-          if (last) {
-            g /= unif_rate_;
-            g += xs[r] * sp[r];
-            diff = std::max(diff, std::abs(g - xs[r]));
-            if constexpr (kWithAcc) acc[r] += w * xs[r];
-          }
-          ys[r] = g;
-        }
-        return diff;
-      };
-      if (pool_ == nullptr) {
-        max_diff = std::max(max_diff, kernel(0, n));
-      } else {
-        // One diff slot per parallel_for chunk; chunk boundaries are fixed
-        // by (n, pool size), and max is exactly associative, so the
-        // reduction is bitwise pool-size independent.
-        std::vector<double> diffs(pool_->size() + 2, 0.0);
-        std::atomic<std::size_t> slot{0};
-        pool_->parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-          const double d = kernel(static_cast<std::uint32_t>(lo),
-                                  static_cast<std::uint32_t>(hi));
-          diffs[slot.fetch_add(1, std::memory_order_relaxed)] = d;
-        });
-        for (double d : diffs) max_diff = std::max(max_diff, d);
-      }
+    for (std::uint32_t r = 0; r < n; ++r) {
+      double g = 0.0;
+      for (std::size_t k = ptr[r]; k < ptr[r + 1]; ++k)
+        g += val[k] * xs[col[k]];
+      g /= unif_rate_;
+      g += xs[r] * sp[r];
+      max_diff = std::max(max_diff, std::abs(g - xs[r]));
+      if constexpr (kWithAcc) acc[r] += w * xs[r];
+      ys[r] = g;
     }
     return max_diff;
   }
@@ -319,9 +279,8 @@ class DtmcStepper {
   double unif_rate_;
   double steady_tol_;
   bool steady_ = false;
-  util::ThreadPool* pool_;
   std::vector<double> self_prob_;
-  BlockedCsr blocked_;
+  CsrMatrix transposed_;
 };
 
 // ---- kAdaptive machinery -------------------------------------------------
@@ -335,6 +294,23 @@ constexpr std::uint64_t kQsLookback = 64;
 /// below this the exact iterations are cheap and the extrapolation only
 /// adds (tiny, but nonzero) model error.
 constexpr std::uint64_t kQsMinTail = 128;
+
+/// Relative flatness tolerance for the quasi-stationary flux plateau:
+/// |diff_k − diff_{k−1}| ≤ kQsRelTol·diff_k counts as a stable step.
+constexpr double kQsRelTol = 1e-4;
+
+/// Consecutive stable steps (plus the lookback check over 2× this span)
+/// required before the plateau extrapolation fires on a cold solve.
+constexpr int kQsConfirm = 32;
+
+/// Consecutive stable steps required once the current shape has been
+/// validated against a warm-start neighbor (the neighbor's converged shape
+/// replaces the slow self-evidence).
+constexpr int kQsConfirmWarm = 4;
+
+/// ∞-norm tolerance for validating the normalized transient shape against a
+/// warm-start entry.
+constexpr double kWarmShapeTol = 1e-3;
 
 /// Normalized transient shape of a distribution: transient entries divided
 /// by their total mass, absorbing entries zero (what WarmStart stores).
@@ -491,8 +467,7 @@ AccumulatedSolution solve_accumulated(const MarkovChain& chain,
 
   const std::uint32_t n = chain.num_states;
   const double unif_rate = uniformization_rate(chain, options);
-  DtmcStepper dtmc_step(chain, unif_rate, options.pool,
-                        options.steady_state_tol);
+  DtmcStepper dtmc_step(chain, unif_rate, options.steady_state_tol);
   PoissonCache local_cache;
   PoissonCache& cache =
       options.poisson_cache != nullptr ? *options.poisson_cache : local_cache;
@@ -619,8 +594,7 @@ TransientSolution solve_transient(const MarkovChain& chain,
 
   // Built after pi: under glibc's dynamic mmap threshold the allocation
   // order moves a sweep's peak RSS (by 4% on the fig15 grid).
-  DtmcStepper dtmc_step(chain, unif_rate, options.pool,
-                        options.steady_state_tol);
+  DtmcStepper dtmc_step(chain, unif_rate, options.steady_state_tol);
 
   std::vector<double> v = pi, v_next(n), acc(n);
   std::uint64_t interval = 0;
@@ -683,27 +657,25 @@ TransientSolution solve_transient(const MarkovChain& chain,
         if (adaptive && win.right - k >= kQsMinTail) {
           // Quasi-stationary plateau: after mixing, the ∞-norm step diff
           // equals the constant absorption flux.  Cold evidence is
-          // qs_confirm consecutive flat steps PLUS flatness against the
+          // kQsConfirm consecutive flat steps PLUS flatness against the
           // diff kQsLookback steps back — the lookback rejects fluxes that
           // are decaying smoothly but slowly, which satisfy the
           // consecutive test long before the plateau is real.  A validated
           // warm-start shape replaces the lookback (that is where the
           // warm savings come from).
           const bool flat = diff > 0.0 && prev_diff >= 0.0 &&
-                            std::abs(diff - prev_diff) <=
-                                options.qs_rel_tol * diff;
+                            std::abs(diff - prev_diff) <= kQsRelTol * diff;
           stable = flat ? stable + 1 : 0;
           const bool long_flat =
-              k >= kQsLookback && std::abs(diff - ring[k % kQsLookback]) <=
-                                      options.qs_rel_tol * diff;
+              k >= kQsLookback &&
+              std::abs(diff - ring[k % kQsLookback]) <= kQsRelTol * diff;
           ring[k % kQsLookback] = diff;
           prev_diff = diff;
           if (warm != nullptr && !warm_ok && stable > 0 && (k & 15u) == 0u)
             warm_ok = shape_matches(chain.exit_rate, v_next, warm->shape,
-                                    options.warm_shape_tol);
-          const bool fire =
-              warm_ok ? stable >= options.qs_confirm_warm
-                      : (stable >= options.qs_confirm && long_flat);
+                                    kWarmShapeTol);
+          const bool fire = warm_ok ? stable >= kQsConfirmWarm
+                                    : (stable >= kQsConfirm && long_flat);
           if (fire) {
             qs_close_window(chain.exit_rate, win, k, v, v_next, acc,
                             remaining);
@@ -745,7 +717,6 @@ TransientSolution solve_transient(const MarkovChain& chain,
     double expect = 0.0;
     for (std::uint32_t s = 0; s < n; ++s) expect += pi[s] * reward[s];
     sol.expected_reward.push_back(expect);
-    sol.distributions.push_back(pi);
     ++interval;
   }
   if (tm.on) tm.iterations.add(sol.total_iterations);

@@ -80,34 +80,4 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min<std::size_t>(size() + 1, n);
-  if (chunks == 1) {
-    fn(begin, end);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
-  const std::size_t per = n / chunks;
-  const std::size_t extra = n % chunks;  // first `extra` chunks get +1
-  std::size_t lo = begin;
-  std::size_t caller_lo = 0, caller_hi = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t hi = lo + per + (c < extra ? 1 : 0);
-    if (c == 0) {
-      caller_lo = lo;  // the caller runs the first chunk after enqueuing
-      caller_hi = hi;
-    } else {
-      futures.push_back(submit([&fn, lo, hi] { fn(lo, hi); }));
-    }
-    lo = hi;
-  }
-  fn(caller_lo, caller_hi);
-  for (auto& f : futures) f.get();  // rethrows the first chunk error
-}
-
 }  // namespace util

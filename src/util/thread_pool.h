@@ -1,22 +1,15 @@
 // A small fixed-size worker pool with a shared FIFO task queue — the one
-// threading primitive every parallel layer builds on (sweep fan-out,
-// sensitivity fan-out, row-partitioned sparse products).
+// threading primitive the parallel layers build on (sweep fan-out and
+// sensitivity fan-out; each CTMC solve runs on one thread).
 //
 // Design constraints, in priority order:
 //   1. Determinism support: the pool never reorders results — callers index
 //      output slots by task id, so numerical output is independent of the
 //      worker count and of scheduling.
 //   2. No work stealing, no per-thread queues: the workloads here are
-//      coarse (one CTMC solve, one row block), so a single mutex-guarded
-//      queue is never the bottleneck and keeps the code auditable under
-//      ThreadSanitizer.
-//   3. parallel_for shares the work with the *calling* thread, so a
-//      ThreadPool(0) on a 1-core machine still makes progress and a pool is
-//      usable for both task fan-out and data parallelism.
-//
-// parallel_for must not be called from inside a pool task (the chunk wait
-// could then deadlock behind the caller's own queue entry); the sweep layer
-// therefore never hands the same pool to the per-point solvers.
+//      coarse (one sweep point or one sensitivity solve per task), so a
+//      single mutex-guarded queue is never the bottleneck and keeps the
+//      code auditable under ThreadSanitizer.
 //
 // Telemetry: submit() captures the submitter's phase-span token and
 // re-establishes it inside the task (see util/spans.h), so fanned-out work
@@ -41,9 +34,7 @@ namespace util {
 
 class ThreadPool {
  public:
-  /// Spawns `workers` threads; 0 picks the hardware concurrency.  Note the
-  /// calling thread participates in parallel_for, so `workers` may
-  /// reasonably be hardware_concurrency() - 1.
+  /// Spawns `workers` threads; 0 picks the hardware concurrency.
   explicit ThreadPool(unsigned workers = 0);
   ~ThreadPool();
 
@@ -56,15 +47,6 @@ class ThreadPool {
   /// Enqueues a task; the future resolves when it finishes (exceptions
   /// propagate through the future).
   std::future<void> submit(std::function<void()> task);
-
-  /// Runs fn(chunk_begin, chunk_end) over [begin, end) split into
-  /// size() + 1 contiguous chunks; the calling thread executes one chunk
-  /// itself and the call blocks until every chunk is done.  Chunk
-  /// boundaries depend only on (begin, end, size()), never on scheduling.
-  /// Throws the first chunk exception encountered.  Must not be called
-  /// from inside a pool task.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// hardware_concurrency with a floor of 1 (the standard allows 0).
   static unsigned hardware_threads();

@@ -1,7 +1,7 @@
-// Parallel CSR products: transposed() correctness and the bitwise
-// determinism contract — the pooled overloads must reproduce the
-// sequential result exactly, for any worker count, because uniformization
-// runs thousands of these products per solve.
+// CSR products: transposed() correctness and the order contract the
+// solvers rely on — a gather over the transpose reproduces the sequential
+// scatter product bit for bit (the uniformization stepper and the Krylov
+// operator both multiply this way).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ctmc/sparse.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -47,9 +46,10 @@ TEST(ParallelSparse, TransposeRoundTrip) {
 }
 
 TEST(ParallelSparse, TransposedRightEqualsLeftBitwise) {
-  // The uniformization stepper computes x·A as gather over Aᵀ; the counting
-  // sort in transposed() keeps each output's summands in original row
-  // order, so the result is bit-identical to the sequential scatter.
+  // The uniformization stepper and the Krylov operator compute x·A as a
+  // gather over Aᵀ; the counting sort in transposed() keeps each output's
+  // summands in original row order, so the result is bit-identical to the
+  // sequential scatter.
   const CsrMatrix a = random_matrix(60, 60, 0.15, 3);
   const CsrMatrix at = a.transposed();
   const std::vector<double> x = random_vector(60, 4);
@@ -58,35 +58,6 @@ TEST(ParallelSparse, TransposedRightEqualsLeftBitwise) {
   at.right_multiply(x, gather);
   for (std::size_t i = 0; i < scatter.size(); ++i)
     EXPECT_EQ(scatter[i], gather[i]);
-}
-
-TEST(ParallelSparse, PooledRightMultiplyBitwiseForAnyWorkerCount) {
-  const CsrMatrix at = random_matrix(80, 80, 0.1, 5).transposed();
-  const std::vector<double> x = random_vector(80, 6);
-  std::vector<double> seq(80);
-  at.right_multiply(x, seq);
-  for (unsigned workers : {1u, 2u, 3u, 8u}) {
-    util::ThreadPool pool(workers);
-    std::vector<double> par(80);
-    at.right_multiply(x, par, pool);
-    for (std::size_t i = 0; i < seq.size(); ++i)
-      EXPECT_EQ(seq[i], par[i]) << "workers=" << workers << " i=" << i;
-  }
-}
-
-TEST(ParallelSparse, PooledLeftMultiplyMatchesSequential) {
-  const CsrMatrix a = random_matrix(70, 50, 0.12, 7);
-  const std::vector<double> x = random_vector(70, 8);
-  std::vector<double> seq(50);
-  a.left_multiply(x, seq);
-  for (unsigned workers : {1u, 4u}) {
-    util::ThreadPool pool(workers);
-    std::vector<double> par(50);
-    a.left_multiply(x, par, pool);
-    // Block-partial reduction reassociates sums; near-equality only.
-    for (std::size_t i = 0; i < seq.size(); ++i)
-      EXPECT_NEAR(seq[i], par[i], 1e-12) << "workers=" << workers;
-  }
 }
 
 }  // namespace

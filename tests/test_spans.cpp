@@ -108,21 +108,4 @@ TEST(Spans, ThreadPoolTasksNestUnderSubmittingSpan) {
   }
 }
 
-TEST(Spans, ParallelForInheritsTheOpenSpan) {
-  util::SpanTree tree;
-  {
-    AttachTree attach(tree);
-    util::ThreadPool pool(3);
-    AHS_SPAN("sweep");
-    pool.parallel_for(0, 64, [](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        AHS_SPAN("chunk.item");
-      }
-    });
-  }
-  EXPECT_EQ(flatten(tree),
-            (std::vector<std::string>{"run:0", "run/sweep:1",
-                                      "run/sweep/chunk.item:64"}));
-}
-
 }  // namespace

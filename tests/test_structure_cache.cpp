@@ -10,7 +10,6 @@
 #include "ctmc/state_space.h"
 #include "ctmc/uniformization.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -158,21 +157,6 @@ TEST(StructureCache, StudyCacheLumpedHitEqualsCold) {
   const UnsafetyCurve cold = unsafety_curve(lumped_params(1e-3), times, opts);
   for (std::size_t i = 0; i < times.size(); ++i)
     EXPECT_NEAR(warm.unsafety[i], cold.unsafety[i], 1e-12);
-}
-
-TEST(StructureCache, PooledUniformizationBitwiseStable) {
-  // The lumped solve with an internal pool must be bitwise identical to the
-  // sequential solve — this is what lets sweep points use any thread count.
-  const Parameters p = lumped_params(1e-4);
-  const LumpedModel model(p);
-  const std::vector<double> times = {2.0, 6.0, 10.0};
-  const auto seq = model.unsafety(times);
-  for (unsigned workers : {1u, 2u, 5u}) {
-    util::ThreadPool pool(workers);
-    const auto par = model.unsafety(times, &pool);
-    for (std::size_t i = 0; i < times.size(); ++i)
-      EXPECT_EQ(seq[i], par[i]) << "workers=" << workers;
-  }
 }
 
 }  // namespace

@@ -1,14 +1,9 @@
-// util::ThreadPool: task execution, exception propagation, parallel_for
-// coverage/partitioning, and the determinism contract (chunk boundaries are
-// a pure function of the range and worker count).
+// util::ThreadPool: task execution and exception propagation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <mutex>
-#include <numeric>
+#include <future>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -30,64 +25,6 @@ TEST(ThreadPool, SubmitPropagatesExceptions) {
   util::ThreadPool pool(2);
   auto f = pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  util::ThreadPool pool(3);
-  std::vector<int> touched(1000, 0);
-  pool.parallel_for(0, touched.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++touched[i];
-  });
-  EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 1000);
-  for (int t : touched) EXPECT_EQ(t, 1);
-}
-
-TEST(ThreadPool, ParallelForHandlesSmallAndEmptyRanges) {
-  util::ThreadPool pool(8);
-  std::atomic<int> count{0};
-  pool.parallel_for(10, 10, [&](std::size_t, std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 0);
-  std::vector<int> touched(3, 0);
-  pool.parallel_for(0, 3, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++touched[i];
-  });
-  for (int t : touched) EXPECT_EQ(t, 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesChunkExceptions) {
-  util::ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100,
-                        [](std::size_t b, std::size_t) {
-                          if (b == 0) throw std::runtime_error("chunk");
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPool, ChunkBoundariesDependOnlyOnRangeAndSize) {
-  // Record the chunk list twice on pools of the same size; the partition
-  // must be identical (this is what makes reductions deterministic).
-  auto chunks_of = [](unsigned workers) {
-    util::ThreadPool pool(workers);
-    std::mutex mu;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    pool.parallel_for(7, 1000, [&](std::size_t b, std::size_t e) {
-      const std::lock_guard<std::mutex> lock(mu);
-      chunks.push_back({b, e});
-    });
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  EXPECT_EQ(chunks_of(5), chunks_of(5));
-  // Contiguous cover, no overlap.
-  const auto chunks = chunks_of(5);
-  std::size_t expect_begin = 7;
-  for (const auto& [b, e] : chunks) {
-    EXPECT_EQ(b, expect_begin);
-    EXPECT_LT(b, e);
-    expect_begin = e;
-  }
-  EXPECT_EQ(expect_begin, 1000u);
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
