@@ -4,8 +4,7 @@
 // speaking the durable point-file protocol — a SIGKILLed worker is simply
 // respawned and the sweep completes with bitwise-identical results.
 //
-//   ahs_server --socket /tmp/ahs.sock --workers 4 --policy fair \
-//              --tap live.json &
+//   ahs_server --socket /tmp/ahs.sock --workers 4 --policy fair --tap live.json &
 //   ahs_client --socket /tmp/ahs.sock --sizes 10,12 --lambdas 1e-6,1e-5
 //   ahs_top    --tap live.json          # watches the server, unmodified
 //

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "ctmc/expmv.h"
@@ -138,6 +139,7 @@ struct UnifTelemetry {
   util::Counter qs_extrapolations;  ///< adaptive plateau closures fired
   util::HistogramHandle window_size;  ///< Poisson window width per miss
   util::Gauge truncation;  ///< Poisson mass left outside the last window
+  util::Gauge avx2;        ///< 1 when the AVX2 slice loop ran the last solve
 
   // Flight-recorder milestones (util/trace.h) — independent of the metrics
   // registry; each emit is one branch when no recorder is attached.
@@ -166,6 +168,7 @@ struct UnifTelemetry {
           "ctmc.uniformization.poisson_window_size",
           {0, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
       truncation = reg->gauge("ctmc.uniformization.truncation_remaining");
+      avx2 = reg->gauge("ctmc.uniformization.avx2");
     }
   }
 };
@@ -217,22 +220,25 @@ double uniformization_rate(const MarkovChain& chain,
 /// solve_accumulated consult (the shared flag keeps the cutoff semantics
 /// identical).
 ///
-/// The product gathers over the transpose of the rate matrix: each output
-/// accumulates its contributions in left_multiply's scatter order (see
-/// CsrMatrix::transposed), so the result has the scatter product's bits.
-/// The gather is fused with the rest of the per-iteration element work: the
-/// /Λ scaling and I·self_prob term, the Poisson accumulation
-/// acc[s] += w·x[s], and the steady-state max-norm diff all happen while
-/// y[s] and x[s] are in registers, in one pass over the state vectors.
+/// The product gathers over the transpose of the rate matrix, held as a
+/// SlicedTranspose: each slice sums 8 output rows at once, one per lane, and
+/// each row keeps left_multiply's scatter order, so the result has the
+/// scatter product's bits.  The slice loop is picked once per stepper: AVX2
+/// gathers where the CPU has AVX2, the same loop in scalar code elsewhere.
+/// The rest of the per-iteration element work is fused onto each chunk of
+/// row sums while they are in L1: the /Λ scaling and I·self_prob term, the
+/// Poisson accumulation acc[s] += w·x[s], and the steady-state max-norm
+/// diff, in one pass over the state vectors.
 class DtmcStepper {
  public:
   DtmcStepper(const MarkovChain& chain, double unif_rate, double steady_tol)
-      : unif_rate_(unif_rate), steady_tol_(steady_tol) {
-    const std::uint32_t n = chain.num_states;
-    self_prob_.resize(n);
-    for (std::uint32_t s = 0; s < n; ++s)
+      : unif_rate_(unif_rate),
+        steady_tol_(steady_tol),
+        self_prob_(chain.num_states),
+        sliced_(chain.rates),
+        sum_(pick_sum()) {
+    for (std::uint32_t s = 0; s < chain.num_states; ++s)
       self_prob_[s] = 1.0 - chain.exit_rate[s] / unif_rate;
-    transposed_ = chain.rates.transposed();
   }
 
   /// Fused step: y := x P; when `acc` is non-null, acc[s] += w·x[s] rides
@@ -251,28 +257,51 @@ class DtmcStepper {
   bool steady() const { return steady_; }
   void reset_steady() { steady_ = false; }
 
+  /// Whether the AVX2 slice loop runs the product.
+  bool avx2() const { return sum_ != &SlicedTranspose::sum_scalar; }
+
  private:
+  using SumFn = void (SlicedTranspose::*)(std::uint32_t, std::uint32_t,
+                                          const double*, double*) const;
+
+  /// Slices summed per call; their 512 row sums stay in L1 for the finish.
+  static constexpr std::uint32_t kChunkSlices = 64;
+
+  static SumFn pick_sum() {
+#if defined(__x86_64__)
+    if (SlicedTranspose::avx2_supported()) return &SlicedTranspose::sum_avx2;
+#endif
+    return &SlicedTranspose::sum_scalar;
+  }
+
   template <bool kWithAcc>
   double run(const std::vector<double>& x, std::vector<double>& y, double w,
              double* acc) const {
-    const std::uint32_t n = static_cast<std::uint32_t>(self_prob_.size());
-    const std::size_t* ptr = transposed_.row_ptr().data();
-    const std::uint32_t* col = transposed_.col_index().data();
-    const double* val = transposed_.values().data();
     const double* xs = x.data();
     const double* sp = self_prob_.data();
     double* ys = y.data();
     double max_diff = 0.0;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      double g = 0.0;
-      for (std::size_t k = ptr[r]; k < ptr[r + 1]; ++k)
-        g += val[k] * xs[col[k]];
+    const auto finish = [&](std::uint32_t r, double g) {
       g /= unif_rate_;
       g += xs[r] * sp[r];
       max_diff = std::max(max_diff, std::abs(g - xs[r]));
       if constexpr (kWithAcc) acc[r] += w * xs[r];
       ys[r] = g;
+    };
+    constexpr std::uint32_t kLanes = SlicedTranspose::kLanes;
+    const std::span<const std::uint32_t> rows = sliced_.slot_rows();
+    const std::uint32_t slices = sliced_.slices();
+    std::array<double, std::size_t{kChunkSlices} * kLanes> sums{};
+    for (std::uint32_t s = 0; s < slices; s += kChunkSlices) {
+      const std::uint32_t last = std::min(slices, s + kChunkSlices);
+      (sliced_.*sum_)(s, last, xs, sums.data());
+      const std::size_t base = std::size_t{s} * kLanes;
+      const std::size_t end = std::min(rows.size(), std::size_t{last} * kLanes);
+      for (std::size_t i = base; i < end; ++i) finish(rows[i], sums[i - base]);
     }
+    const std::span<const std::uint32_t> long_rows = sliced_.long_rows();
+    for (std::size_t i = 0; i < long_rows.size(); ++i)
+      finish(long_rows[i], sliced_.long_row_sum(i, xs));
     return max_diff;
   }
 
@@ -280,7 +309,8 @@ class DtmcStepper {
   double steady_tol_;
   bool steady_ = false;
   std::vector<double> self_prob_;
-  CsrMatrix transposed_;
+  SlicedTranspose sliced_;
+  SumFn sum_;
 };
 
 // ---- kAdaptive machinery -------------------------------------------------
@@ -468,6 +498,7 @@ AccumulatedSolution solve_accumulated(const MarkovChain& chain,
   const std::uint32_t n = chain.num_states;
   const double unif_rate = uniformization_rate(chain, options);
   DtmcStepper dtmc_step(chain, unif_rate, options.steady_state_tol);
+  if (tm.on) tm.avx2.set(dtmc_step.avx2() ? 1.0 : 0.0);
   PoissonCache local_cache;
   PoissonCache& cache =
       options.poisson_cache != nullptr ? *options.poisson_cache : local_cache;
@@ -595,6 +626,7 @@ TransientSolution solve_transient(const MarkovChain& chain,
   // Built after pi: under glibc's dynamic mmap threshold the allocation
   // order moves a sweep's peak RSS (by 4% on the fig15 grid).
   DtmcStepper dtmc_step(chain, unif_rate, options.steady_state_tol);
+  if (tm.on) tm.avx2.set(dtmc_step.avx2() ? 1.0 : 0.0);
 
   std::vector<double> v = pi, v_next(n), acc(n);
   std::uint64_t interval = 0;

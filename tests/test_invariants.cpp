@@ -286,7 +286,7 @@ TEST(Invariants, DeclaredCapacityBecomesBound) {
       .distribution(util::Distribution::Exponential(1.0))
       .reads({flag})
       .writes({flag})
-      .input_gate([flag](const san::MarkingRef& mr) { return true; },
+      .input_gate([flag](const san::MarkingRef&) { return true; },
                   [flag](const san::MarkingRef& mr) {
                     mr.set(flag, 1 - mr.get(flag));
                   });
@@ -311,7 +311,7 @@ std::shared_ptr<san::AtomicModel> gate_writer(const std::string& act) {
       .priority(3)
       .reads({sh})
       .writes({sh})
-      .input_gate([sh](const san::MarkingRef& mr) { return false; },
+      .input_gate([sh](const san::MarkingRef&) { return false; },
                   [sh](const san::MarkingRef& mr) { mr.set(sh, 1); });
   return m;
 }

@@ -566,8 +566,9 @@ TEST_F(ServeTest, MalformedLinesDoNotKillTheServer) {
   // Each hostile client gets an error reply or a closed connection.
   const auto expect_error_or_close = [](util::Socket& s) {
     std::string reply;
-    if (s.recv_line(&reply))
+    if (s.recv_line(&reply)) {
       EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+    }
   };
 
   // Nesting deep enough to overflow an uncapped recursive parser.

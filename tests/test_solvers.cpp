@@ -252,6 +252,30 @@ TEST(SolverTelemetry, SteadyCutoffCounterFiresInBothSolvers) {
   EXPECT_NEAR(a_sol.accumulated[0], 150.0 - 0.1875, 1e-6);
 }
 
+TEST(SolverTelemetry, Avx2GaugeNamesTheSliceLoop) {
+  // Both uniformization solves say which slice loop summed their product,
+  // so a timing can be read against the kernel that produced it.
+  MarkovChain chain;
+  chain.num_states = 2;
+  chain.rates = CsrMatrix::from_triplets(2, 2, {{0, 1, 3.0}, {1, 0, 1.0}});
+  chain.exit_rate = {3.0, 1.0};
+  chain.initial = {1.0, 0.0};
+  const std::vector<double> reward = {0.0, 1.0};
+  const std::vector<double> times = {1.0};
+  const double want = ctmc::SlicedTranspose::avx2_supported() ? 1.0 : 0.0;
+
+  util::TelemetrySession session;
+  (void)ctmc::solve_transient(chain, reward, times);
+  EXPECT_EQ(session.registry().snapshot().gauges.at(
+                "ctmc.uniformization.avx2"),
+            want);
+  session.registry().gauge("ctmc.uniformization.avx2").set(-1.0);
+  (void)ctmc::solve_accumulated(chain, reward, times);
+  EXPECT_EQ(session.registry().snapshot().gauges.at(
+                "ctmc.uniformization.avx2"),
+            want);
+}
+
 TEST(DenseExpm, MatchesClosedForms) {
   // Nilpotent: exp([[0,1],[0,0]]) = [[1,1],[0,1]].
   const auto nil = ctmc::dense_expm({0.0, 1.0, 0.0, 0.0}, 2);
