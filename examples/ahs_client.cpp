@@ -6,12 +6,13 @@
 //   ahs_client --socket /tmp/ahs.sock --op stats
 //   ahs_client --socket /tmp/ahs.sock --op shutdown
 //
-// --serial evaluates the identical grid locally — one direct
-// ahs::unsafety_curve() call per point, exactly what a server worker runs —
-// and writes the same CSV format through the same formatting code.  The
-// served CSV is byte-identical to the serial one (curve doubles travel as
-// shortest round-trip JSON numbers), which is how the crash tests prove a
-// SIGKILLed-and-retried worker changes nothing.
+// --serial evaluates the identical grid locally — one cold, direct
+// ahs::unsafety_curve() call per point — and writes the same CSV format
+// through the same formatting code.  The served CSV is byte-identical to
+// the serial one (curve doubles travel as shortest round-trip JSON
+// numbers), which is how the crash tests prove a SIGKILLed-and-retried
+// worker changes nothing, and how they hold the structure-cache hits of a
+// worker's grouped points to their cold curves.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -141,8 +142,10 @@ int main(int argc, char** argv) {
     std::size_t computed = 0, cached = 0, failed = 0;
 
     if (*serial) {
-      // Local baseline: per-point direct study calls — the exact code path
-      // a server worker runs (serve/worker.cpp), so the CSVs must match.
+      // Local baseline: per-point cold study calls.  A server worker runs
+      // the same call through a StudyCache shared by its task's points
+      // (serve/worker.cpp); a cache hit reproduces the cold curve, so the
+      // CSVs must match.
       for (const ahs::SweepPoint& point : req.points) {
         const ahs::UnsafetyCurve curve =
             ahs::unsafety_curve(point.params, req.times, req.study);

@@ -1,8 +1,9 @@
 // ahs_server: the sweep-as-a-service daemon.  Accepts study/sweep requests
-// as JSON over a Unix-domain socket, queues their points behind a pluggable
-// schedule policy, and evaluates them in supervised worker *processes*
-// speaking the durable point-file protocol — a SIGKILLed worker is simply
-// respawned and the sweep completes with bitwise-identical results.
+// as JSON over a Unix-domain socket, groups their points by structure into
+// tasks, queues the tasks behind a pluggable schedule policy, and evaluates
+// each in a supervised worker *process* speaking the durable point-file
+// protocol — a SIGKILLed worker is simply respawned for its unfinished
+// points and the sweep completes with bitwise-identical results.
 //
 //   ahs_server --socket /tmp/ahs.sock --workers 4 --policy fair --tap live.json &
 //   ahs_client --socket /tmp/ahs.sock --sizes 10,12 --lambdas 1e-6,1e-5
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
   auto tap_interval =
       cli.add_double("tap-interval", 0.5, "tap publish period in seconds");
   auto max_attempts =
-      cli.add_int("max-attempts", 3, "worker spawn attempts per point");
+      cli.add_int("max-attempts", 3, "worker spawn attempts per task");
   auto debug_delay = cli.add_double(
       "debug-worker-delay", 0.0,
       "test knob: seconds each worker sleeps before solving");

@@ -50,6 +50,28 @@ ctmc::TransientSolver parse_solver(const std::string& s) {
   throw util::PreconditionError("unknown transient solver \"" + s + "\"");
 }
 
+/// `"label":...,"params":{...}` — the members a point object carries in a
+/// submit request and in a task file.
+void emit_point(std::ostringstream& os, const ahs::SweepPoint& point) {
+  os << "\"label\":\"" << util::json_escape(point.label)
+     << "\",\"params\":" << encode_params(point.params);
+}
+
+ahs::SweepPoint decode_point(const util::JsonValue& v) {
+  ahs::SweepPoint sp;
+  sp.label = v.string_at("label", "");
+  if (const util::JsonValue* p = v.find("params"))
+    sp.params = decode_params(*p);
+  return sp;
+}
+
+const util::JsonValue& points_at(const util::JsonValue& v, const char* what) {
+  const util::JsonValue* pts = v.find("points");
+  AHS_REQUIRE(pts != nullptr && !pts->array.empty(),
+              std::string(what) + " needs a non-empty points array");
+  return *pts;
+}
+
 }  // namespace
 
 std::string encode_params(const ahs::Parameters& p) {
@@ -190,9 +212,9 @@ std::string encode_submit(const SubmitRequest& req) {
   emit_doubles(os, "times", req.times.data(), req.times.size());
   os << ",\"study\":" << encode_study(req.study) << ",\"points\":[";
   for (std::size_t i = 0; i < req.points.size(); ++i) {
-    os << (i != 0 ? "," : "") << "{\"label\":\""
-       << util::json_escape(req.points[i].label)
-       << "\",\"params\":" << encode_params(req.points[i].params) << "}";
+    os << (i != 0 ? ",{" : "{");
+    emit_point(os, req.points[i]);
+    os << "}";
   }
   os << "]}";
   return os.str();
@@ -206,24 +228,22 @@ SubmitRequest decode_submit(const util::JsonValue& v) {
   AHS_REQUIRE(!req.times.empty(), "submit needs a non-empty times grid");
   if (const util::JsonValue* s = v.find("study"))
     req.study = decode_study(*s);
-  const util::JsonValue* pts = v.find("points");
-  AHS_REQUIRE(pts != nullptr && !pts->array.empty(),
-              "submit needs a non-empty points array");
-  for (const util::JsonValue& p : pts->array) {
-    ahs::SweepPoint sp;
-    sp.label = p.string_at("label", "");
-    if (const util::JsonValue* pr = p.find("params"))
-      sp.params = decode_params(*pr);
-    req.points.push_back(std::move(sp));
-  }
+  for (const util::JsonValue& p : points_at(v, "submit").array)
+    req.points.push_back(decode_point(p));
   return req;
 }
 
 std::string encode_task(const WorkerTask& t) {
+  AHS_REQUIRE(t.point_ids.size() == t.points.size(),
+              "a task needs one point id per point");
   std::ostringstream os;
-  os << "{\"task_id\":" << t.task_id << ",\"label\":\""
-     << util::json_escape(t.point.label)
-     << "\",\"params\":" << encode_params(t.point.params) << ",";
+  os << "{\"task_id\":" << t.task_id << ",\"points\":[";
+  for (std::size_t i = 0; i < t.points.size(); ++i) {
+    os << (i != 0 ? "," : "") << "{\"id\":" << t.point_ids[i] << ",";
+    emit_point(os, t.points[i]);
+    os << "}";
+  }
+  os << "],";
   emit_doubles(os, "times", t.times.data(), t.times.size());
   os << ",\"study\":" << encode_study(t.study)
      << ",\"debug_delay_seconds\":"
@@ -234,9 +254,10 @@ std::string encode_task(const WorkerTask& t) {
 WorkerTask decode_task(const util::JsonValue& v) {
   WorkerTask t;
   t.task_id = static_cast<std::uint64_t>(v.number_at("task_id", 0));
-  t.point.label = v.string_at("label", "");
-  if (const util::JsonValue* p = v.find("params"))
-    t.point.params = decode_params(*p);
+  for (const util::JsonValue& p : points_at(v, "task").array) {
+    t.points.push_back(decode_point(p));
+    t.point_ids.push_back(static_cast<std::uint64_t>(p.number_at("id", 0)));
+  }
   t.times = doubles_at(v, "times");
   if (const util::JsonValue* s = v.find("study"))
     t.study = decode_study(*s);
@@ -245,11 +266,12 @@ WorkerTask decode_task(const util::JsonValue& v) {
 }
 
 std::string task_path(const std::string& dir, std::uint64_t task_id) {
-  return dir + "/point_" + std::to_string(task_id) + ".task";
+  return dir + "/task_" + std::to_string(task_id) + ".task";
 }
 
-std::string task_result_path(const std::string& dir, std::uint64_t task_id) {
-  return dir + "/point_" + std::to_string(task_id) + ".result";
+std::string point_result_path(const std::string& dir,
+                              std::uint64_t point_id) {
+  return dir + "/point_" + std::to_string(point_id) + ".result";
 }
 
 }  // namespace serve

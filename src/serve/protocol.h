@@ -66,28 +66,31 @@ SubmitRequest decode_submit(const util::JsonValue& v);
 
 // ---- worker task files -------------------------------------------------
 
-/// The unit a worker process evaluates: one sweep point.  Serialized into
-/// `<work_dir>/point_<task_id>.task`; the worker answers with
-/// `<work_dir>/point_<task_id>.result` — exactly the durable file
-/// run_sweep writes (header ahs::point_result_header keyed on task_id), so
-/// a SIGKILLed worker is restartable for free: the result file either
+/// The unit a worker process evaluates: the points of one job that share a
+/// structure (ahs::StudyCache::key), or one simulation point.  Serialized
+/// into `<work_dir>/task_<task_id>.task`; the worker evaluates the points in
+/// order through one ahs::StudyCache and answers each with
+/// `<work_dir>/point_<point id>.result` — exactly the durable file run_sweep
+/// writes (header ahs::point_result_header keyed on the point id), so a
+/// SIGKILLed worker is restartable for free: each result file either
 /// exists complete (atomic rename) or not at all.
 struct WorkerTask {
   std::uint64_t task_id = 0;
-  ahs::SweepPoint point;
+  std::vector<ahs::SweepPoint> points;
+  std::vector<std::uint64_t> point_ids;  ///< one per point
   std::vector<double> times;
   ahs::StudyOptions study;
   /// Test knob: seconds the worker sleeps *before* solving, giving the
-  /// kill tests a deterministic window to SIGKILL a live worker mid-point.
+  /// kill tests a deterministic window to SIGKILL a live worker mid-task.
   double debug_delay_seconds = 0.0;
 };
 
 std::string encode_task(const WorkerTask& t);
 WorkerTask decode_task(const util::JsonValue& v);
 
-/// `<dir>/point_<task_id>.task` / `.result` — the naming contract between
-/// supervisor and worker.
+/// `<dir>/task_<task_id>.task` and `<dir>/point_<point_id>.result` — the
+/// naming contract between supervisor and worker.
 std::string task_path(const std::string& dir, std::uint64_t task_id);
-std::string task_result_path(const std::string& dir, std::uint64_t task_id);
+std::string point_result_path(const std::string& dir, std::uint64_t point_id);
 
 }  // namespace serve

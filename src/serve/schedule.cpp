@@ -12,7 +12,7 @@ namespace {
 class FifoPolicy final : public SchedulePolicy {
  public:
   const char* name() const override { return "fifo"; }
-  std::size_t pick(const std::vector<PendingPoint>& pending,
+  std::size_t pick(const std::vector<PendingTask>& pending,
                    const std::map<std::string, std::uint64_t>&) override {
     std::size_t best = 0;
     for (std::size_t i = 1; i < pending.size(); ++i)
@@ -24,12 +24,12 @@ class FifoPolicy final : public SchedulePolicy {
 class ShortestFirstPolicy final : public SchedulePolicy {
  public:
   const char* name() const override { return "sjf"; }
-  std::size_t pick(const std::vector<PendingPoint>& pending,
+  std::size_t pick(const std::vector<PendingTask>& pending,
                    const std::map<std::string, std::uint64_t>&) override {
-    // Unknown costs (<= 0) sort *after* every known cost: a point we know
+    // Unknown costs (<= 0) sort *after* every known cost: a task we know
     // to be short should not wait behind a mystery, and mysteries keep
     // their arrival order among themselves.
-    const auto key = [](const PendingPoint& p) {
+    const auto key = [](const PendingTask& p) {
       return p.expected_seconds > 0.0
                  ? p.expected_seconds
                  : std::numeric_limits<double>::infinity();
@@ -48,10 +48,10 @@ class ShortestFirstPolicy final : public SchedulePolicy {
 class FairSharePolicy final : public SchedulePolicy {
  public:
   const char* name() const override { return "fair"; }
-  std::size_t pick(const std::vector<PendingPoint>& pending,
+  std::size_t pick(const std::vector<PendingTask>& pending,
                    const std::map<std::string, std::uint64_t>& dispatched)
       override {
-    const auto share = [&dispatched](const PendingPoint& p) {
+    const auto share = [&dispatched](const PendingTask& p) {
       const auto it = dispatched.find(p.client);
       return it != dispatched.end() ? it->second : std::uint64_t{0};
     };
@@ -82,27 +82,28 @@ Scheduler::Scheduler(std::unique_ptr<SchedulePolicy> policy)
   stats_.policy = policy_->name();
 }
 
-void Scheduler::enqueue(PendingPoint point, double now_seconds) {
+void Scheduler::enqueue(PendingTask task, double now_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
-  point.enqueue_order = next_order_++;
-  point.enqueue_seconds = now_seconds;
+  task.enqueue_order = next_order_++;
+  task.enqueue_seconds = now_seconds;
   if (stats_.first_enqueue_seconds < 0.0)
     stats_.first_enqueue_seconds = now_seconds;
-  ++stats_.enqueued;
-  pending_.push_back(std::move(point));
+  stats_.enqueued += task.points();
+  pending_.push_back(std::move(task));
 }
 
-bool Scheduler::pop(PendingPoint* out, double now_seconds) {
+bool Scheduler::pop(PendingTask* out, double now_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (pending_.empty()) return false;
   const std::size_t i = policy_->pick(pending_, dispatched_by_client_);
   AHS_ASSERT(i < pending_.size(), "policy picked out of range");
-  *out = pending_[i];
+  *out = std::move(pending_[i]);
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-  ++dispatched_by_client_[out->client];
+  const std::size_t points = out->points();
+  dispatched_by_client_[out->client] += points;
   const double wait = now_seconds - out->enqueue_seconds;
-  ++stats_.dispatched;
-  stats_.total_wait_seconds += wait;
+  stats_.dispatched += points;
+  stats_.total_wait_seconds += wait * static_cast<double>(points);
   stats_.max_wait_seconds = std::max(stats_.max_wait_seconds, wait);
   stats_.last_dispatch_seconds = now_seconds;
   return true;
@@ -110,7 +111,9 @@ bool Scheduler::pop(PendingPoint* out, double now_seconds) {
 
 std::size_t Scheduler::depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return pending_.size();
+  std::size_t points = 0;
+  for (const PendingTask& t : pending_) points += t.points();
+  return points;
 }
 
 Scheduler::Stats Scheduler::stats() const {

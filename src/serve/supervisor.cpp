@@ -34,12 +34,13 @@ void WorkerSupervisor::spawn_locked(Active* a) {
 
 void WorkerSupervisor::dispatch(const WorkerTask& task) {
   // The task file is written atomically so a worker never reads a torn
-  // spec; rewriting an identical file on retry is harmless.
+  // spec.
   util::atomic_write_file(task_path(options_.work_dir, task.task_id),
                           encode_task(task));
   std::lock_guard<std::mutex> lock(mutex_);
   Active a;
   a.task = task;
+  a.dispatched_points = task.points.size();
   a.started_seconds = now_seconds();
   spawn_locked(&a);
   active_.push_back(std::move(a));
@@ -56,44 +57,51 @@ std::vector<WorkerSupervisor::Completion> WorkerSupervisor::poll() {
       continue;
     }
 
-    // The exit code is advisory; the durable file is the truth.  This is
-    // what makes a SIGKILLed-after-rename worker free to "restart": its
-    // result is simply harvested here.
-    const std::string result_path =
-        task_result_path(options_.work_dir, a.task.task_id);
-    const util::SnapshotHeader header = ahs::point_result_header(
-        a.task.task_id, a.task.point, a.task.times, a.task.study);
-    std::string payload;
-    bool have_result = false;
-    std::string error;
-    try {
-      have_result = util::read_snapshot(result_path, header, &payload);
-    } catch (const util::SnapshotError& e) {
-      // Identity mismatch or corruption: reject-don't-merge.  Surfaced as
-      // a task failure, never as someone else's curve.
-      Completion c;
-      c.task_id = a.task.task_id;
-      c.ok = false;
-      c.error = e.what();
+    const auto complete = [&](std::size_t k) -> Completion& {
+      Completion& c = done.emplace_back();
+      c.point_id = a.task.point_ids[k];
       c.attempts = a.attempt;
-      c.seconds = now_seconds() - a.started_seconds;
-      done.push_back(std::move(c));
-      active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-      continue;
-    }
+      c.seconds = (now_seconds() - a.started_seconds) /
+                  static_cast<double>(a.dispatched_points);
+      return c;
+    };
 
-    if (have_result) {
-      Completion c;
-      c.task_id = a.task.task_id;
+    // The exit code is advisory; the durable files are the truth.  This is
+    // what makes a SIGKILLed worker free to "restart": the points it
+    // committed are simply harvested here.
+    WorkerTask missing = a.task;
+    missing.points.clear();
+    missing.point_ids.clear();
+    for (std::size_t k = 0; k < a.task.points.size(); ++k) {
+      const std::uint64_t id = a.task.point_ids[k];
+      std::string payload;
+      try {
+        if (!util::read_snapshot(
+                point_result_path(options_.work_dir, id),
+                ahs::point_result_header(id, a.task.points[k], a.task.times,
+                                         a.task.study),
+                &payload)) {
+          missing.points.push_back(a.task.points[k]);
+          missing.point_ids.push_back(id);
+          continue;
+        }
+      } catch (const util::SnapshotError& e) {
+        // Identity mismatch or corruption: reject-don't-merge.  Surfaced
+        // as this point's failure, never as someone else's curve.
+        complete(k).error = e.what();
+        continue;
+      }
+      Completion& c = complete(k);
       c.ok = true;
       c.curve = ahs::decode_curve(payload);
-      c.attempts = a.attempt;
-      c.seconds = now_seconds() - a.started_seconds;
-      done.push_back(std::move(c));
+    }
+
+    if (missing.points.empty()) {
       active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }
 
+    std::string error;
     if (exit_code == 0) {
       error = "worker exited 0 without writing its result file";
     } else if (exit_code < 0) {
@@ -106,21 +114,23 @@ std::vector<WorkerSupervisor::Completion> WorkerSupervisor::poll() {
       ++a.attempt;
       ++retries_;
       AHS_LOGM_WARN("serve")
-          << "task " << a.task.task_id << " (" << a.task.point.label
-          << "): " << error << " — retry " << a.attempt << "/"
-          << options_.max_attempts;
+          << "task " << a.task.task_id << " (" << missing.points.size()
+          << " of " << a.task.points.size() << " point(s) unfinished, first "
+          << missing.points.front().label << "): " << error << " — retry "
+          << a.attempt << "/" << options_.max_attempts;
+      // Only the unfinished points run again.
+      a.task = std::move(missing);
+      util::atomic_write_file(task_path(options_.work_dir, a.task.task_id),
+                              encode_task(a.task));
       spawn_locked(&a);
       ++i;
       continue;
     }
 
-    Completion c;
-    c.task_id = a.task.task_id;
-    c.ok = false;
-    c.error = error + " after " + std::to_string(a.attempt) + " attempt(s)";
-    c.attempts = a.attempt;
-    c.seconds = now_seconds() - a.started_seconds;
-    done.push_back(std::move(c));
+    a.task = std::move(missing);
+    for (std::size_t k = 0; k < a.task.points.size(); ++k)
+      complete(k).error =
+          error + " after " + std::to_string(a.attempt) + " attempt(s)";
     active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
   }
   return done;

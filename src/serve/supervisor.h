@@ -1,14 +1,16 @@
 // Worker-process supervisor of the ahs_server daemon: spawns one process
-// per dispatched point (re-execing the server binary in --worker mode),
+// per dispatched task (re-execing the server binary in --worker mode),
 // reaps exits non-blockingly, and harvests results from the durable
-// point-result files.
+// point-result files, one per point of the task.
 //
 // The file protocol carries ALL of the crash-safety (see serve/worker.h):
-// poll() decides success purely by "does a valid, identity-matching result
-// file exist", never by how the process exited.  A worker SIGKILLed after
-// its atomic rename is a success; one killed before it is retried up to
-// max_attempts; a result file whose header mismatches its task identity
-// throws util::SnapshotError (reject-don't-merge, same as sweep resume).
+// poll() decides each point's success purely by "does a valid,
+// identity-matching result file exist", never by how the process exited.
+// A point whose file was renamed before a SIGKILL is a success; the points
+// without a file are retried (the task file is rewritten with only those)
+// up to max_attempts; a result file whose header mismatches its point's
+// identity throws util::SnapshotError, which fails that point alone
+// (reject-don't-merge, same as sweep resume).
 #pragma once
 
 #include <sys/types.h>
@@ -42,21 +44,25 @@ class WorkerSupervisor {
   WorkerSupervisor& operator=(const WorkerSupervisor&) = delete;
 
   /// Writes the task file and spawns a worker for it.  Non-blocking; the
-  /// completion arrives via poll().
+  /// completions, one per point, arrive via poll().
   void dispatch(const WorkerTask& task);
 
+  /// The outcome of one point of a task.
   struct Completion {
-    std::uint64_t task_id = 0;
+    std::uint64_t point_id = 0;
     bool ok = false;
     ahs::UnsafetyCurve curve;   ///< valid when ok
     std::string error;          ///< last failure when !ok
     int attempts = 0;           ///< spawns consumed (1 = clean first run)
-    double seconds = 0.0;       ///< dispatch → completion wall clock
+    /// The task's dispatch → completion wall clock over the points it was
+    /// dispatched with: the per-point cost the server's estimates record.
+    double seconds = 0.0;
   };
 
-  /// Reaps exited workers.  For each: a valid result file → success (even
-  /// if the process died by signal); otherwise respawn while attempts
-  /// remain, else a failed Completion.  Never blocks.
+  /// Reaps exited workers.  For each, every point with a valid result file
+  /// is a success (even if the process died by signal); the points without
+  /// one are respawned as a smaller task while attempts remain, else
+  /// fail.  Never blocks.
   std::vector<Completion> poll();
 
   /// Tasks currently running (spawned, not yet completed/failed).
@@ -75,13 +81,14 @@ class WorkerSupervisor {
 
  private:
   struct Active {
-    WorkerTask task;
+    WorkerTask task;  ///< the points still without a result file
+    std::size_t dispatched_points = 0;
     pid_t pid = -1;
     int attempt = 1;
     double started_seconds = 0.0;
   };
 
-  /// Spawns (or respawns) the worker process for `active_[i]`.
+  /// Spawns (or respawns) the worker process for `a`'s task file.
   void spawn_locked(Active* a);
   double now_seconds() const;
 

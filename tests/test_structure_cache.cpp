@@ -1,8 +1,13 @@
 // Structure caches on the CTMC path: the lumped rate-term decomposition,
 // the full-SAN exploration skeleton + rebuild_rates, and the StudyCache
 // that shares both across sweep points.  The contract everywhere: a cache
-// hit reproduces the cold build (to 1e-12 or exactly).
+// hit reproduces the cold build (to 1e-12 or exactly); a StudyCache hit's
+// curve is bitwise the cold one, which a served worker evaluating a whole
+// structure group through one cache relies on.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "ahs/lumped.h"
 #include "ahs/study.h"
@@ -29,6 +34,15 @@ Parameters full_params(double lambda) {
   p.base_failure_rate = lambda;
   p.failure_mode_enabled = {false, false, true, false, false, true};
   return p;
+}
+
+void expect_same_bits(const UnsafetyCurve& a, const UnsafetyCurve& b) {
+  ASSERT_EQ(a.unsafety.size(), b.unsafety.size());
+  for (std::size_t i = 0; i < a.unsafety.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.unsafety[i]),
+              std::bit_cast<std::uint64_t>(b.unsafety[i]))
+        << i << ": " << a.unsafety[i] << " vs " << b.unsafety[i];
+  EXPECT_EQ(a.solver_iterations, b.solver_iterations);
 }
 
 TEST(StructureCache, FingerprintSeparatesStructure) {
@@ -132,8 +146,7 @@ TEST(StructureCache, StudyCacheFullEngineHitEqualsCold) {
       unsafety_curve(full_params(5e-2), times, opts, &cache, &hit);
   EXPECT_TRUE(hit);
   const UnsafetyCurve cold = unsafety_curve(full_params(5e-2), times, opts);
-  for (std::size_t i = 0; i < times.size(); ++i)
-    EXPECT_NEAR(warm.unsafety[i], cold.unsafety[i], 1e-12);
+  expect_same_bits(warm, cold);
 
   // A different q is a different full-SAN structure (q sits in the case
   // weights): must not hit.
@@ -155,8 +168,7 @@ TEST(StructureCache, StudyCacheLumpedHitEqualsCold) {
       unsafety_curve(lumped_params(1e-3), times, opts, &cache, &hit);
   EXPECT_TRUE(hit);
   const UnsafetyCurve cold = unsafety_curve(lumped_params(1e-3), times, opts);
-  for (std::size_t i = 0; i < times.size(); ++i)
-    EXPECT_NEAR(warm.unsafety[i], cold.unsafety[i], 1e-12);
+  expect_same_bits(warm, cold);
 }
 
 }  // namespace
