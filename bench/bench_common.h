@@ -2,18 +2,19 @@
 //
 // Every bench prints (a) the experiment header with the paper reference and
 // the parameters in force, (b) a paper-style series table on stdout, and
-// (c) a machine-readable CSV next to the binary (./<bench>.csv) for
-// replotting.  Values are computed with the lumped-CTMC engine unless the
-// bench says otherwise; EXPERIMENTS.md records paper-vs-measured per figure.
+// (c) a machine-readable CSV (./results/<bench>.csv) for replotting.  The
+// sweep drivers also print the sweep's timing summary (log_sweep_timings)
+// but keep no timing records: performance is measured by the repository
+// benchmark (perfbench/) and gated in CI by .github/perf_gate.py.  Values
+// are computed with the lumped-CTMC engine unless the bench says otherwise;
+// EXPERIMENTS.md records paper-vs-measured per figure.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,6 @@
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/logging.h"
-#include "util/snapshot.h"
 #include "util/stopflag.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -81,12 +81,6 @@ class BenchTelemetry {
   }
 
   bool active() const { return session_ != nullptr; }
-
-  /// Live {"metrics": ..., "spans": ...} fragment for embedding into a
-  /// bench_timings.json record; empty when telemetry is off.
-  std::string record_fragment() const {
-    return session_ ? session_->report().to_json_fragment() : std::string();
-  }
 
   /// Emits the requested outputs (summary table, JSON file, trace export,
   /// final tap snapshot).
@@ -166,85 +160,6 @@ inline BenchRobustness& robustness() {
   return instance;
 }
 
-/// Throughput-floor assertion for benches that merge a record into
-/// BENCH_PERF.json (currently bench_fig12; bench_executor carries its own
-/// copy of the same flags).  parse_bench_flags() registers
-/// --assert-floor/--floor-tolerance; a driver reads the committed baseline
-/// with read() *before* merging its fresh record — the flag usually points
-/// at the merge target — and gates its exit status on check().
-class BenchFloor {
- public:
-  void add_flags(util::Cli& cli) {
-    path_ = cli.add_string(
-        "assert-floor", "",
-        "exit 1 unless this run's throughput is at least "
-        "(1 - floor-tolerance) x this bench's record in the given "
-        "BENCH_PERF.json (benches that record one; absent baselines pass)");
-    tolerance_ = cli.add_double(
-        "floor-tolerance", 0.25,
-        "allowed fractional throughput regression against the "
-        "--assert-floor baseline");
-  }
-
-  bool enabled() const { return path_ && !path_->empty(); }
-
-  /// The committed floor for `field` of `bench_name`'s record (plain string
-  /// scan of the single-line format merge_record_into writes).  Returns 0
-  /// when the flag is off or the file/record/field is absent — an absent
-  /// baseline never fails the assertion, so the first run on a fresh
-  /// checkout records rather than rejects.
-  double read(const std::string& bench_name, const std::string& field) const {
-    if (!enabled()) return 0.0;
-    std::ifstream in(*path_);
-    std::string line;
-    const std::string tag = "{\"bench\": \"" + bench_name + "\"";
-    const std::string key = "\"" + field + "\": ";
-    while (std::getline(in, line)) {
-      if (line.rfind(tag, 0) != 0) continue;
-      const auto pos = line.find(key);
-      if (pos == std::string::npos) return 0.0;
-      return std::atof(line.c_str() + pos + key.size());
-    }
-    return 0.0;
-  }
-
-  /// Prints the PASS/FAIL verdict for `measured` against `floor` (from
-  /// read()); false means the driver should exit non-zero.  No-op (true)
-  /// when the flag is off.
-  bool check(const std::string& bench_name, const std::string& unit,
-             double floor, double measured) const {
-    if (!enabled()) return true;
-    if (floor <= 0.0) {
-      std::cout << "perf floor: no " << bench_name << " baseline in "
-                << *path_ << " — recorded, nothing to assert\n";
-      return true;
-    }
-    const double bar = floor * (1.0 - *tolerance_);
-    const bool ok = measured >= bar;
-    std::cout << "perf floor (vs " << *path_ << "): baseline "
-              << util::format_sci(floor, 4) << " " << unit << ", bar "
-              << util::format_sci(bar, 4) << " " << unit << ", measured "
-              << util::format_sci(measured, 4) << " " << unit << ": "
-              << (ok ? "PASS" : "FAIL") << "\n";
-    if (!ok)
-      std::cerr << "perf floor FAILED — " << bench_name
-                << " regressed more than "
-                << util::format_fixed(100.0 * *tolerance_, 0)
-                << " % below the committed baseline\n";
-    return ok;
-  }
-
- private:
-  std::shared_ptr<std::string> path_;
-  std::shared_ptr<double> tolerance_;
-};
-
-/// The driver's floor flags (one per process).
-inline BenchFloor& floor_check() {
-  static BenchFloor instance;
-  return instance;
-}
-
 /// Call after run_sweep: when the sweep was interrupted (SIGINT/SIGTERM),
 /// tells the operator how to finish the run and returns true — the driver
 /// should skip its series output and exit 130 (the conventional
@@ -297,7 +212,6 @@ inline bool parse_bench_flags(int argc, const char* const* argv,
       "threads", 0, "sweep worker threads (0 = all cores, 1 = sequential)");
   telemetry().add_flags(cli);
   robustness().add_flags(cli);
-  floor_check().add_flags(cli);
   try {
     if (!cli.parse(argc, argv)) return false;
   } catch (const std::exception& e) {
@@ -310,99 +224,9 @@ inline bool parse_bench_flags(int argc, const char* const* argv,
   return true;
 }
 
-/// Short git revision of the tree this binary was launched in, resolved
-/// once per process; "unknown" outside a repository or without git on
-/// PATH.  Recorded in every timing/perf record so throughput numbers are
-/// attributable to the code they measured.
-inline const std::string& git_revision() {
-  static const std::string rev = [] {
-    std::string r = "unknown";
-    if (FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-      char buf[64] = {};
-      if (std::fgets(buf, sizeof buf, p) != nullptr) {
-        std::string s(buf);
-        while (!s.empty() && (s.back() == '\n' || s.back() == '\r'))
-          s.pop_back();
-        if (!s.empty()) r = s;
-      }
-      ::pclose(p);
-    }
-    return r;
-  }();
-  return rev;
-}
-
-/// Merges one single-line JSON record (which must start with
-/// `{"bench": "<name>"`) into `path`, replacing any previous record of the
-/// same bench and keeping every other bench's line.  The merge is a
-/// read-modify-write cycle on a file shared by every bench binary: the
-/// advisory lock serializes concurrent bench runs (so two processes can't
-/// drop each other's records), and the atomic replace guarantees a reader
-/// — or a crash mid-merge — never sees a truncated document.
-inline void merge_record_into(const std::string& path,
-                              const std::string& bench_name,
-                              const std::string& record) {
-  util::FileLock lock(path + ".lock");
-  std::vector<std::string> records;
-  {
-    std::ifstream in(path);
-    std::string line;
-    const std::string own_tag = "{\"bench\": \"" + bench_name + "\"";
-    while (std::getline(in, line)) {
-      if (line.rfind("{\"bench\": ", 0) != 0) continue;  // header/footer
-      if (!line.empty() && line.back() == ',') line.pop_back();
-      if (line.rfind(own_tag, 0) == 0) continue;
-      records.push_back(line);
-    }
-  }
-  records.push_back(record);
-  std::ostringstream out;
-  out << "{\"benches\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i)
-    out << records[i] << (i + 1 < records.size() ? "," : "") << "\n";
-  out << "]}\n";
-  util::atomic_write_file(path, out.str());
-}
-
-/// Merges one bench's record into results/bench_timings.json.  Every
-/// record gains the git revision; with an active telemetry session it also
-/// gains a live `telemetry` field (the registry + span snapshot at merge
-/// time).
-inline void merge_timing_record(const std::string& bench_name,
-                                const std::string& record) {
-  std::filesystem::create_directories("results");
-  const std::string path = "results/bench_timings.json";
-  std::string merged = record;
-  if (!merged.empty() && merged.back() == '}') {
-    merged.pop_back();
-    merged += ", \"git_rev\": \"" + git_revision() + "\"";
-    const std::string fragment = telemetry().record_fragment();
-    if (!fragment.empty()) merged += ", \"telemetry\": " + fragment;
-    merged += "}";
-  }
-  merge_record_into(path, bench_name, merged);
-  std::cout << "timings merged into " << path << "\n";
-}
-
-/// Merges one bench's throughput summary into ./BENCH_PERF.json — the
-/// top-level machine-readable performance document.  `fields` is a JSON
-/// fragment of key/value pairs (no braces); the record automatically
-/// carries the bench name and git revision.  The CI perf job asserts the
-/// current run against the committed baseline (repo-root BENCH_PERF.json)
-/// with bench_executor's --assert-floor flag.
-inline void write_bench_perf(const std::string& bench_name,
-                             const std::string& fields) {
-  const std::string record = "{\"bench\": \"" + bench_name +
-                             "\", \"git_rev\": \"" + git_revision() + "\", " +
-                             fields + "}";
-  merge_record_into("BENCH_PERF.json", bench_name, record);
-  std::cout << "perf summary merged into BENCH_PERF.json\n";
-}
-
-/// Prints the per-point wall-clock summary of a sweep and merges it into
-/// results/bench_timings.json — one single-line JSON record per bench, so a
-/// rerun of one bench replaces only its own record.
-inline void log_sweep_timings(const std::string& bench_name, unsigned threads,
+/// Prints the per-point wall-clock summary of a sweep: total time and
+/// throughput, cache hit rates, solver iterations, and one line per point.
+inline void log_sweep_timings(unsigned threads,
                               const std::vector<ahs::SweepPoint>& points,
                               const ahs::SweepResult& result) {
   auto secs = [](double s) {
@@ -457,19 +281,6 @@ inline void log_sweep_timings(const std::string& bench_name, unsigned threads,
                          static_cast<double>(points.size()),
                      3)
               << " per point\n";
-  std::ostringstream record;
-  record << "{\"bench\": \"" << bench_name << "\", \"threads\": " << threads
-         << ", \"total_seconds\": " << secs(result.total_seconds)
-         << ", \"points_per_sec\": " << util::format_sci(points_per_sec, 6)
-         << ", \"replications\": " << replications
-         << ", \"replications_per_sec\": "
-         << util::format_sci(replications_per_sec, 6)
-         << ", \"poisson_cache\": {\"hits\": " << result.poisson_cache_hits
-         << ", \"misses\": " << result.poisson_cache_misses << "}"
-         << ", \"warm_start\": {\"hits\": " << result.warm_start_hits
-         << ", \"misses\": " << result.warm_start_misses << "}"
-         << ", \"total_solver_iterations\": "
-         << result.total_solver_iterations << ", \"points\": [";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const bool hit = result.structure_cache_hit[i];
     const ahs::PointOutcome outcome = result.outcome[i];
@@ -481,13 +292,7 @@ inline void log_sweep_timings(const std::string& bench_name, unsigned threads,
     std::cout << ")\n";
     if (outcome == ahs::PointOutcome::kDegraded)
       std::cout << "    degraded: " << result.degraded_reason[i] << "\n";
-    record << (i ? ", " : "") << "{\"label\": \"" << points[i].label
-           << "\", \"seconds\": " << secs(result.point_seconds[i])
-           << ", \"structure_cache_hit\": " << (hit ? "true" : "false")
-           << ", \"outcome\": \"" << ahs::to_string(outcome) << "\"}";
   }
-  record << "]}";
-  merge_timing_record(bench_name, record.str());
 }
 
 }  // namespace bench

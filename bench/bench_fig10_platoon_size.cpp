@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   bench::write_csv("bench_fig10.csv",
                    {"t_hours", "S_n8", "S_n10", "S_n12"}, csv_rows);
-  bench::log_sweep_timings("bench_fig10", threads, points, sweep);
+  bench::log_sweep_timings(threads, points, sweep);
   bench::finish_telemetry();
   return 0;
 }

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   bench::write_csv("bench_fig11.csv",
                    {"t_hours", "S_lam1e6", "S_lam1e5", "S_lam1e4"},
                    csv_rows);
-  bench::log_sweep_timings("bench_fig11", threads, points, sweep);
+  bench::log_sweep_timings(threads, points, sweep);
   bench::finish_telemetry();
   return 0;
 }

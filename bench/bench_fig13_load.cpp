@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                    {"t_hours", "r1_j4_l4", "r1_j12_l12", "r2_j8_l4",
                     "r2_j24_l12"},
                    csv_rows);
-  bench::log_sweep_timings("bench_fig13", threads, points, sweep);
+  bench::log_sweep_timings(threads, points, sweep);
   bench::finish_telemetry();
   return 0;
 }

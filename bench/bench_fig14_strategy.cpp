@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   bench::write_csv("bench_fig14.csv", {"t_hours", "DD", "DC", "CD", "CC"},
                    csv_rows);
-  bench::log_sweep_timings("bench_fig14", threads, points, sweep);
+  bench::log_sweep_timings(threads, points, sweep);
   bench::finish_telemetry();
   return 0;
 }

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
   bench::write_csv("bench_fig15.csv",
                    {"n", "DD", "DC", "CD", "CC", "CC_over_DD"}, csv_rows);
-  bench::log_sweep_timings("bench_fig15", threads, points, sweep);
+  bench::log_sweep_timings(threads, points, sweep);
   bench::finish_telemetry();
   return 0;
 }

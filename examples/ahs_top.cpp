@@ -67,6 +67,11 @@ double counter_of(const util::JsonValue& doc, std::string_view name) {
   return counters != nullptr ? counters->number_at(name) : 0.0;
 }
 
+bool has_counter(const util::JsonValue& doc, std::string_view name) {
+  const util::JsonValue* counters = doc.find("counters");
+  return counters != nullptr && counters->find(name) != nullptr;
+}
+
 /// One rendered frame.  `stale_seconds` < 0 means freshness is unknown
 /// (first frame).
 void render(const util::JsonValue& doc, const std::string& path,
@@ -89,13 +94,18 @@ void render(const util::JsonValue& doc, const std::string& path,
        << "\n";
   }
 
-  const double hits = counter_of(doc, "ahs.sweep.structure_cache_hits");
-  const double misses = counter_of(doc, "ahs.sweep.structure_cache_misses");
   os << "  outcomes restored " << counter_of(doc, "ahs.sweep.points_restored")
      << "  retried " << counter_of(doc, "ahs.sweep.point_retries")
-     << "  degraded " << counter_of(doc, "ahs.sweep.points_degraded")
-     << "   structure cache " << fixed(hits, 0) << " hit / " << fixed(misses, 0)
-     << " miss\n";
+     << "  degraded " << counter_of(doc, "ahs.sweep.points_degraded");
+  // Only a tap whose own process ran the sweep carries the structure-cache
+  // counters.  A served tap does not: its workers count in their own
+  // processes, and "0 hit / 0 miss" there would read as a cold cache.
+  const char* hits = "ahs.sweep.structure_cache_hits";
+  const char* misses = "ahs.sweep.structure_cache_misses";
+  if (has_counter(doc, hits) || has_counter(doc, misses))
+    os << "   structure cache " << fixed(counter_of(doc, hits), 0)
+       << " hit / " << fixed(counter_of(doc, misses), 0) << " miss";
+  os << "\n";
 
   const double solves = counter_of(doc, "ctmc.uniformization.solves");
   if (solves > 0.0) {

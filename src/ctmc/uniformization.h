@@ -176,7 +176,8 @@ struct UniformizationOptions {
   /// an *absolute* tolerance on the distribution vector; a request below
   /// the solve's round-off floor (≈ ε_mach·‖Qᵀ‖·t) cannot be honoured —
   /// the solver detects that, raises TransientSolution::tol_floor_hit,
-  /// logs a warning, and reports the achievable floor (see
+  /// logs a warning (only when this field is set, not for the epsilon
+  /// fallback), and reports the achievable floor (see
   /// ctmc::expmv_tol_floor).  The floor bounds round-off on each entry of
   /// the distribution vector, not on the reward: at fig 12's n = 10,
   /// λ = 1e-4 it is 3.7e-12 absolute, yet S(6 h) = 2.5e-5 agrees with
@@ -202,7 +203,8 @@ struct TransientSolution {
   /// absolute-error floor for this solve's magnitude (ε_mach·‖Qᵀ‖·t); the
   /// distribution vector is only certified to `achievable_tol`, not the
   /// request.  Also surfaced as the ctmc.expmv.tol_floor_hits counter, the
-  /// ctmc.expmv.tol_floor gauge, and a warning log line.
+  /// ctmc.expmv.tol_floor gauge, and, when the caller set krylov_tol, a
+  /// warning log line.
   bool tol_floor_hit = false;
   /// kKrylov: the round-off floor of this solve (max over its intervals),
   /// an absolute bound on each entry of the distribution vector — not a

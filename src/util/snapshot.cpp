@@ -1,7 +1,6 @@
 #include "util/snapshot.h"
 
 #include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -84,24 +83,6 @@ bool read_file(const std::string& path, std::string* content) {
   if (in.bad()) throw SnapshotError("read failed for '" + path + "'");
   *content = os.str();
   return true;
-}
-
-FileLock::FileLock(const std::string& path) {
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd_ < 0) throw_errno("cannot open lock file", path);
-  while (::flock(fd_, LOCK_EX) != 0) {
-    if (errno == EINTR) continue;
-    ::close(fd_);
-    fd_ = -1;
-    throw_errno("flock failed for", path);
-  }
-}
-
-FileLock::~FileLock() {
-  if (fd_ >= 0) {
-    ::flock(fd_, LOCK_UN);
-    ::close(fd_);
-  }
 }
 
 void write_snapshot(const std::string& path, const SnapshotHeader& header,

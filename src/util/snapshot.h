@@ -7,9 +7,6 @@
 //  * atomic_write_file — the classic write-temp + fsync + rename + fsync-dir
 //    sequence: readers see either the complete old content or the complete
 //    new content, never a truncation, even if the writer dies mid-call.
-//  * FileLock — an advisory whole-file lock (POSIX flock) so concurrent
-//    processes serialize read-modify-write cycles on shared files
-//    (results/bench_timings.json is the motivating case).
 //  * Snapshot envelope — a versioned header carrying the model's structural
 //    fingerprint, the RNG seed, and a hash of the estimation options.  A
 //    checkpoint that does not match the run it is resumed into is
@@ -45,21 +42,6 @@ void atomic_write_file(const std::string& path, const std::string& content);
 /// Reads a whole file; returns false when it does not exist.  Throws
 /// SnapshotError on read failure.
 bool read_file(const std::string& path, std::string* content);
-
-/// Advisory exclusive lock on `path` (created empty if absent), held for
-/// the object's lifetime.  Blocks until acquired.  Advisory: only
-/// cooperating FileLock users are serialized — which is exactly the
-/// concurrent-bench-process case.  Not copyable or movable.
-class FileLock {
- public:
-  explicit FileLock(const std::string& path);
-  ~FileLock();
-  FileLock(const FileLock&) = delete;
-  FileLock& operator=(const FileLock&) = delete;
-
- private:
-  int fd_ = -1;
-};
 
 /// Identity of a checkpoint: what it is a checkpoint *of*.  All four fields
 /// must match on resume; `kind` separates the layered formats ("transient",

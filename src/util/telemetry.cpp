@@ -73,10 +73,6 @@ void render_span(std::ostream& os, const SpanTree::Snapshot& s, int depth) {
   for (const auto& c : s.children) render_span(os, c, depth + 1);
 }
 
-}  // namespace
-
-namespace {
-
 void append_trace_summary(std::ostringstream& os,
                           const TraceRecorder::Summary& t) {
   os << "{\"threads\": " << t.threads << ", \"recorded\": " << t.recorded
@@ -85,20 +81,6 @@ void append_trace_summary(std::ostringstream& os,
 }
 
 }  // namespace
-
-std::string TelemetryReport::to_json_fragment() const {
-  std::ostringstream os;
-  os << "{\"metrics\": ";
-  append_metrics(os, metrics);
-  os << ", \"spans\": ";
-  append_span(os, spans);
-  if (has_trace) {
-    os << ", \"trace\": ";
-    append_trace_summary(os, trace);
-  }
-  os << "}";
-  return os.str();
-}
 
 std::string TelemetryReport::to_json() const {
   std::ostringstream os;

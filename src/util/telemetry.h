@@ -40,10 +40,6 @@ struct TelemetryReport {
   /// "spans": {...}}.
   std::string to_json() const;
 
-  /// to_json() for embedding: just the metrics/spans object, no schema
-  /// wrapper (used for the `telemetry` field of bench_timings.json records).
-  std::string to_json_fragment() const;
-
   /// Human rendering: a span-tree outline plus a table of counters/gauges
   /// and histogram summaries.
   void render_summary(std::ostream& os) const;

@@ -6,9 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "fire_trace.h"
 #include "san/composition.h"
 #include "sim/executor.h"
-#include "sim/trace.h"
 #include "util/error.h"
 
 namespace {
@@ -183,7 +183,7 @@ TEST(Executor, MarkingDependentRate) {
 TEST(Executor, TraceRecorderCountsSources) {
   const auto flat = san::flatten(flipflop(1.0, 1.0));
   sim::Executor exec(flat, util::Rng(5));
-  sim::TraceRecorder trace(exec, flat);
+  sim_test::FireTrace trace(exec, flat);
   for (int i = 0; i < 10; ++i) exec.step();
   EXPECT_EQ(trace.events().size(), 10u);
   EXPECT_EQ(trace.count_source("fall"), 5u);

@@ -1,7 +1,6 @@
 // Crash-safe persistence primitives (util/snapshot): atomic replacement,
-// advisory locking, the versioned snapshot envelope's reject-don't-merge
-// contract, bitwise double tokens, and the bench_timings.json merge that
-// motivated the layer (bench_common.h).
+// the versioned snapshot envelope's reject-don't-merge contract, and
+// bitwise double tokens.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "ahs/sweep.h"
-#include "bench/bench_common.h"
 #include "util/snapshot.h"
 #include "util/stats.h"
 
@@ -93,29 +91,6 @@ TEST_F(SnapshotTest, ConcurrentReadersNeverSeeTorn) {
   writer.join();
   reader.join();
   EXPECT_EQ(torn.load(), 0);
-}
-
-TEST_F(SnapshotTest, FileLockSerializesReadModifyWrite) {
-  // Counter-in-a-file incremented by racing threads; without the lock the
-  // read-modify-write cycles interleave and increments are lost.
-  const std::string p = path("counter");
-  util::atomic_write_file(p, "0");
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 50;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t)
-    workers.emplace_back([&] {
-      for (int i = 0; i < kIncrements; ++i) {
-        util::FileLock lock(p + ".lock");
-        std::string cur;
-        if (!util::read_file(p, &cur)) return;  // surfaces in the final count
-        util::atomic_write_file(p, std::to_string(std::stoi(cur) + 1));
-      }
-    });
-  for (auto& w : workers) w.join();
-  std::string final_value;
-  ASSERT_TRUE(util::read_file(p, &final_value));
-  EXPECT_EQ(final_value, std::to_string(kThreads * kIncrements));
 }
 
 TEST_F(SnapshotTest, SnapshotRoundTrip) {
@@ -258,41 +233,6 @@ TEST(SnapshotTokens, RunningStatStateRoundTripsBitwise) {
   fresh.push(0.25);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(restored.save().m2),
             std::bit_cast<std::uint64_t>(fresh.save().m2));
-}
-
-TEST_F(SnapshotTest, BenchTimingsSurviveConcurrentMerges) {
-  // The satellite bugfix: merge_timing_record is a read-modify-write on
-  // results/bench_timings.json shared by every bench binary.  Racing merges
-  // must lose no record and the file must parse as one complete document.
-  const fs::path old_cwd = fs::current_path();
-  fs::current_path(dir_);
-  constexpr int kBenches = 4;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kBenches; ++t)
-    workers.emplace_back([t] {
-      const std::string name = "bench_t" + std::to_string(t);
-      for (int i = 0; i < 10; ++i)
-        bench::merge_timing_record(
-            name, "{\"bench\": \"" + name + "\", \"iteration\": " +
-                      std::to_string(i) + "}");
-    });
-  for (auto& w : workers) w.join();
-  fs::current_path(old_cwd);
-
-  std::string doc;
-  ASSERT_TRUE(
-      util::read_file((dir_ / "results/bench_timings.json").string(), &doc));
-  EXPECT_EQ(doc.rfind("{\"benches\": [", 0), 0u);
-  EXPECT_NE(doc.find("]}"), std::string::npos);
-  for (int t = 0; t < kBenches; ++t) {
-    const std::string tag =
-        "{\"bench\": \"bench_t" + std::to_string(t) + "\"";
-    // Exactly one record per bench: the final merge of each replaced the
-    // earlier iterations.
-    const auto first = doc.find(tag);
-    ASSERT_NE(first, std::string::npos) << tag;
-    EXPECT_EQ(doc.find(tag, first + 1), std::string::npos) << tag;
-  }
 }
 
 }  // namespace

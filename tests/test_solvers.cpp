@@ -210,6 +210,27 @@ TEST(Krylov, TolFloorFlaggedOnImpossibleTail) {
 
   const auto ref = ctmc::solve_transient(chain, reward, times);
   EXPECT_NEAR(sol.expected_reward[0], ref.expected_reward[0], 1e-8);
+
+  // With krylov_tol left at 0 the solve falls back to epsilon, which the
+  // caller did not ask to certify: same flag, floor and counter, but no
+  // warning line.
+  UniformizationOptions defaulted;
+  defaulted.solver = TransientSolver::kKrylov;
+  defaulted.epsilon = 1e-12;
+  util::TelemetrySession quiet_session;
+  lines.clear();
+  util::set_log_sink([&lines](const std::string& line) {
+    lines.push_back(line);
+  });
+  const auto fallback = ctmc::solve_transient(chain, reward, times, defaulted);
+  util::set_log_sink(nullptr);
+  EXPECT_TRUE(fallback.tol_floor_hit);
+  EXPECT_EQ(bits(fallback.achievable_tol), bits(floor));
+  const auto quiet = quiet_session.registry().snapshot();
+  EXPECT_EQ(quiet.counters.at("ctmc.expmv.tol_floor_hits"), 1u);
+  EXPECT_EQ(bits(quiet.gauges.at("ctmc.expmv.tol_floor")), bits(floor));
+  for (const auto& line : lines)
+    EXPECT_EQ(line.find("round-off floor"), std::string::npos) << line;
 }
 
 TEST(Krylov, TolFloorFormula) {

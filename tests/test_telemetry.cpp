@@ -230,13 +230,4 @@ TEST(TapStaleness, ZeroTimeoutDisablesTheGate) {
   EXPECT_FALSE(gate.expired());
 }
 
-TEST(Telemetry, FragmentIsSingleLine) {
-  util::TelemetrySession session;
-  session.registry().counter("x").inc();
-  const std::string fragment = session.report().to_json_fragment();
-  EXPECT_EQ(fragment.find('\n'), std::string::npos);
-  EXPECT_EQ(fragment.front(), '{');
-  EXPECT_EQ(fragment.back(), '}');
-}
-
 }  // namespace
